@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
 from .ontology import (
@@ -35,6 +34,8 @@ from .qubit import (
     born_probability,
 )
 from .scalar import (
+    ONE,
+    ZERO,
     ExactScalar,
     MixedBackendError,
     Scalar,
@@ -52,7 +53,6 @@ from .simplex import (
     verify_certificate,
 )
 
-HARD_ROW_KINDS = ("normalization", "decomp")
 SOFT_ROW_KINDS = ("born", "joint")
 
 
@@ -78,11 +78,7 @@ def _target_exact(scenario: Scenario, mode: Optional[str]) -> bool:
 
 
 def _field(exact: bool) -> Tuple[Scalar, Scalar, Scalar]:
-    if exact:
-        return (ExactScalar(Fraction(0), Fraction(0)),
-                ExactScalar(Fraction(1, 2), Fraction(0)),
-                ExactScalar(Fraction(1), Fraction(0)))
-    return 0.0, 0.5, 1.0
+    return (ZERO, ONE / 2, ONE) if exact else (0.0, 0.5, 1.0)
 
 
 def _emit(value: Scalar, exact: bool) -> Scalar:
@@ -96,7 +92,7 @@ def _lift(value, exact: bool) -> Scalar:
             raise MixedBackendError("float entry in an exact certificate")
         if isinstance(value, ExactScalar):
             return value
-        return ExactScalar(Fraction(value), Fraction(0))
+        return ExactScalar.from_rational(value)
     return float(value)
 
 

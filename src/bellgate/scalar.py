@@ -95,6 +95,8 @@ class ExactScalar:
         return bool(self.a or self.b)
 
     def __mul__(self, other):
+        if type(other) is int:
+            return ExactScalar(self.a * other, self.b * other)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -113,6 +115,8 @@ class ExactScalar:
         return ExactScalar(self.a / norm, -self.b / norm)
 
     def __truediv__(self, other):
+        if type(other) is int:
+            return ExactScalar(self.a / other, self.b / other)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -229,9 +233,7 @@ def is_zero(x: Scalar, tolerance: float = FLOAT_TOLERANCE) -> bool:
 
 def compare(x: Scalar, y: Scalar, tolerance: float = FLOAT_TOLERANCE) -> int:
     """Sign of x - y on a shared backend (-1 less, 0 equal, +1 greater)."""
-    exact = ensure_same_backend(x, y)
-    if exact:
-        return (x - y).sign()
+    ensure_same_backend(x, y)
     return sign(x - y, tolerance)
 
 
@@ -266,18 +268,16 @@ def scalar_from_json(value, mode: str = "exact") -> Scalar:
         raise ValueError(f"unknown mode {mode!r}")
     if isinstance(value, dict):
         exact = ExactScalar(Fraction(str(value["a"])), Fraction(str(value["b"])))
-        return exact if mode == "exact" else to_float(exact)
-    if isinstance(value, str):
-        exact = ExactScalar.from_rational(value)
-        return exact if mode == "exact" else to_float(exact)
-    if isinstance(value, bool):
+    elif isinstance(value, bool):
         raise TypeError("booleans are not scalars")
-    if isinstance(value, int):
-        return ExactScalar.from_rational(value) if mode == "exact" else float(value)
-    if isinstance(value, float):
+    elif isinstance(value, (str, int)):
+        exact = ExactScalar.from_rational(value)
+    elif isinstance(value, float):
         if mode == "exact":
             raise MixedBackendError(
                 f"float value {value!r} in an exact-mode document"
             )
         return value
-    raise TypeError(f"cannot parse scalar from {value!r}")
+    else:
+        raise TypeError(f"cannot parse scalar from {value!r}")
+    return exact if mode == "exact" else to_float(exact)

@@ -3,9 +3,9 @@
 Solves equality-constrained feasibility (find x >= 0 with Ax = b) by Phase-I
 simplex on per-row artificial variables, and linear minimization by Phase-II
 from the Phase-I basis.  Bland's rule is always on: these systems are tiny
-and heavily degenerate, so anti-cycling matters more than pivot counts.  In
-exact mode every pivot is a field operation in Q(sqrt2), so "optimum is zero"
-and "certificate is valid" are decided without rounding.
+and heavily degenerate, so anti-cycling matters more than pivot counts.  The
+exact tableau is fraction-free, with int cells for a rational A, so "optimum
+is zero" and "certificate is valid" are decided without rounding.
 
 Nothing returned here is trusted: feasible points and Farkas certificates are
 re-verified by the independent checks at the bottom of this module before the
@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
-from .scalar import (ExactScalar, MixedBackendError, Scalar, is_exact, sign,
+from .scalar import (ONE, ZERO, ExactScalar, MixedBackendError, Scalar, sign,
                      zero_like)
 
 #: Pivot-count ceiling; Bland's rule terminates long before this on any
@@ -74,22 +74,22 @@ def _normalize(A: Sequence[Sequence[Scalar]], b: Sequence[Scalar]):
     """Copy inputs, coerce int/Fraction entries, and pick one backend.
 
     The backend is float when any entry is a float, exact otherwise; mixing
-    floats with ExactScalars raises.  Returns (rows, rhs, exact_flag).
+    floats with ExactScalars raises.  Returns (rows, rhs, backend zero).
     """
     rows = [list(row) for row in A]
     rhs = list(b)
     if len(rows) != len(rhs):
         raise DimensionMismatch(
             f"{len(rows)} constraint rows but {len(rhs)} right-hand sides")
-    width = len(rows[0]) if rows else 0
-    for row in rows:
-        if len(row) != width:
-            raise DimensionMismatch("ragged constraint matrix")
-    entries = [v for row in rows for v in row] + rhs
-    has_float = any(isinstance(v, float) for v in entries)
-    has_exact = any(isinstance(v, ExactScalar) for v in entries)
-    if has_float and has_exact:
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise DimensionMismatch("ragged constraint matrix")
+    kinds = {type(v) for row in rows for v in row} | set(map(type, rhs))
+    has_float = any(issubclass(kind, float) for kind in kinds)
+    if has_float and ExactScalar in kinds:
         raise MixedBackendError("constraint system mixes exact and float entries")
+    zero = 0.0 if has_float else ZERO
+    if kinds <= {ExactScalar, float}:
+        return rows, rhs, zero
 
     def coerce(v):
         if isinstance(v, (ExactScalar, float)):
@@ -100,62 +100,71 @@ def _normalize(A: Sequence[Sequence[Scalar]], b: Sequence[Scalar]):
 
     rows = [[coerce(v) for v in row] for row in rows]
     rhs = [coerce(v) for v in rhs]
-    return rows, rhs, not has_float
+    return rows, rhs, zero
 
 
 class Tableau:
     """Simplex tableau: constraint rows with rhs, a reduced-cost row, a basis.
 
     rows[i] has one entry per structural column plus the rhs in the last
-    slot.  The objective row stores reduced costs c_j - z_j with -value in
-    its rhs slot, so a pivot updates it like any other row.
+    slot.  The objective row stores reduced costs c_j - z_j with -c.x in
+    its rhs slot, so a pivot updates it like any other row.  All but rhs
+    slots are stored times `scale` > 0; an exact pivot makes its head the
+    scale (Bareiss 1968), a float one (div None) divides its row by it.
     """
 
-    def __init__(self, rows: List[List[Scalar]], basis: List[int],
-                 cost: List[Scalar]):
+    def __init__(self, rows, basis, cost, scale, div):
+        # cost has a zero for the rhs slot
         self.rows = rows
         self.basis = basis
-        self.ncols = len(rows[0]) - 1 if rows else len(cost)
-        self.cost = cost
-        self.objective = self._fresh_objective()
+        self.scale = scale
+        self.div = div
         self.pivots = 0
-
-    def _fresh_objective(self) -> List[Scalar]:
-        # c_j - sum_i c_basis[i] * rows[i][j], rhs slot gets -objective value
-        out = list(self.cost) + [zero_like(self.cost[0])]
-        for i, row in enumerate(self.rows):
-            weight = self.cost[self.basis[i]]
-            if sign(weight) == 0:
-                continue
-            for j in range(self.ncols + 1):
-                out[j] = out[j] - weight * row[j]
-        return out
-
-    @property
-    def value(self) -> Scalar:
-        return -self.objective[-1]
+        self.objective = out = [scale * c for c in cost]
+        for i, row in enumerate(rows):
+            weight = cost[basis[i]]
+            if sign(weight) != 0:
+                for j, v in enumerate(row):
+                    if v:
+                        out[j] = out[j] - weight * v
 
     def pivot(self, row_index: int, col: int):
         rows = self.rows
-        head = rows[row_index][col]
-        if is_exact(head):
-            is_one = head.a == 1 and head.b == 0
-        else:
-            is_one = head == 1.0
-        if not is_one:
-            rows[row_index] = [v / head for v in rows[row_index]]
         pivot_row = rows[row_index]
+        head = pivot_row[col]
+        scale, div = self.scale, self.div
+        if div is None:
+            if head != 1.0:
+                pivot_row = rows[row_index] = [v / head for v in pivot_row]
+            head = scale
+        elif sign(head) < 0:
+            # a negated row keeps the new common denominator positive
+            head = -head
+            pivot_row = rows[row_index] = [-v for v in pivot_row]
+        body, rhs = pivot_row[:-1], pivot_row[-1]
         # only touched cells: zero entries of the pivot row change nothing
-        if is_exact(head):
-            live = [j for j, v in enumerate(pivot_row) if v.a or v.b]
-        else:
-            live = [j for j, v in enumerate(pivot_row) if v]
+        live = [j for j, v in enumerate(body) if v]
         for target in rows + [self.objective]:
             factor = target[col]
-            if target is pivot_row or not factor:
+            if target is pivot_row:
                 continue
-            for j in live:
-                target[j] = target[j] - factor * pivot_row[j]
+            if head != scale:
+                # Bareiss: (head * v - factor * w) / scale divides exactly
+                target[:-1] = [div(head * v - factor * w, scale) if v or w
+                               else v for v, w in zip(target, body)]
+            elif not factor:
+                continue
+            elif scale == 1:
+                for j in live:
+                    target[j] = target[j] - factor * body[j]
+            else:
+                for j in live:
+                    target[j] = target[j] - div(factor * body[j], scale)
+            if factor and rhs:
+                target[-1] = target[-1] - rhs * factor / head
+        if rhs:
+            pivot_row[-1] = rhs * scale / head
+        self.scale = head
         self.basis[row_index] = col
         self.pivots += 1
         if self.pivots > MAX_PIVOTS:
@@ -164,66 +173,81 @@ class Tableau:
     def run(self, allowed_cols: range):
         """Pivot to optimality under Bland's rule; raise Unbounded if needed."""
         while True:
-            entering = None
-            for j in allowed_cols:
-                if sign(self.objective[j]) < 0 and j not in self.basis:
-                    entering = j
-                    break
+            entering = next((j for j in allowed_cols if sign(self.objective[j])
+                             < 0 and j not in self.basis), None)
             if entering is None:
                 return
-            leaving = None
-            best_ratio = None
+            leaving = best_ratio = None
             for i, row in enumerate(self.rows):
                 coeff = row[entering]
                 if sign(coeff) <= 0:
                     continue
-                ratio = row[-1] / coeff
-                if best_ratio is None or sign(ratio - best_ratio) < 0:
+                # the common scale in coeff leaves the order of ratios alone
+                ratio = row[-1] / coeff if row[-1] else row[-1]
+                gap = -1 if best_ratio is None else sign(ratio - best_ratio) \
+                    if ratio or best_ratio else 0
+                if gap < 0:
                     best_ratio = ratio
                     leaving = i
-                elif sign(ratio - best_ratio) == 0 and \
-                        self.basis[i] < self.basis[leaving]:
+                elif gap == 0 and self.basis[i] < self.basis[leaving]:
                     leaving = i
             if leaving is None:
                 raise Unbounded("entering column has no positive entry")
             self.pivot(leaving, entering)
 
     def solution(self, ncols: int) -> Tuple[Scalar, ...]:
-        zero = zero_like(self.rows[0][0]) if self.rows else 0.0
-        x = [zero] * ncols
+        x = [zero_like(self.objective[-1])] * ncols
         for i, col in enumerate(self.basis):
             if col < ncols:
                 x[col] = self.rows[i][-1]
         return tuple(x)
 
-    def dump(self) -> str:
-        lines = []
-        for i, row in enumerate(self.rows):
-            cells = "  ".join(str(v) for v in row)
-            lines.append(f"x{self.basis[i]:<3} | {cells}")
-        lines.append("obj  | " + "  ".join(str(v) for v in self.objective))
-        return "\n".join(lines)
 
+def _phase_one(rows, rhs, cost, zero, A, b):
+    """Solve Phase I on [A | I | b], rows with b_i < 0 negated; returns the
+    tableau, the cost in its cells and an audited certificate or None.
 
-def _phase_one(rows, rhs, exact):
-    """Build and solve the Phase-I tableau; returns (tableau, flips, n)."""
-    m = len(rows)
-    n = len(rows[0]) if rows else 0
-    one = ExactScalar.from_rational(1) if exact else 1.0
-    zero = ExactScalar.from_rational(0) if exact else 0.0
-    flips = []
+    Rows over Q start at [A | I] times prod s_i, s_i a multiple of row i's
+    denominators: the Bareiss state of the int rows.  sqrt2 in A or the
+    cost keeps ExactScalar cells.
+    """
+    m, n = len(rows), len(cost)
+    flips = [sign(v) < 0 for v in rhs]
+    if isinstance(zero, float):
+        scale, div = 1.0, None
+    elif any(v.b for v in cost) or any(v.b for row in rows for v in row):
+        scale, div = ONE, ExactScalar.__truediv__
+    else:
+        scale, unit, div = 1, 1, int.__floordiv__
+        for row in rows:
+            for q in {v.a.denominator for v in row}:
+                scale *= q
+        for q in {c.a.denominator for c in cost}:
+            unit *= q
+        rows = [[v.a.numerator * (scale // v.a.denominator) for v in row]
+                for row in rows]
+        cost = [c.a.numerator * (unit // c.a.denominator) for c in cost]
     body = []
-    for i in range(m):
-        flip = sign(rhs[i]) < 0
-        flips.append(flip)
-        row = [-v for v in rows[i]] if flip else list(rows[i])
-        artificials = [zero] * m
-        artificials[i] = one
-        body.append(row + artificials + [-rhs[i] if flip else rhs[i]])
-    cost = [zero] * n + [one] * m
-    tableau = Tableau(body, basis=[n + i for i in range(m)], cost=cost)
+    for i, row in enumerate(rows):
+        if flips[i]:
+            row = [-v for v in row]
+        row = row + [scale * 0] * m + [-rhs[i] if flips[i] else rhs[i]]
+        row[n + i] = scale
+        body.append(row)
+    tableau = Tableau(body, [n + i for i in range(m)],
+                      [0] * n + [1] * m + [zero], scale, div)
     tableau.run(range(n + m))
-    return tableau, flips, n
+    objective = tableau.objective
+    if sign(objective[-1]) == 0:
+        return tableau, cost, None
+    # y_i = 1 - (reduced cost of artificial i), negated on flipped rows
+    scale = tableau.scale
+    certificate = FarkasCertificate(y=tuple(
+        (zero + scale - objective[n + i]) / (-scale if flips[i] else scale)
+        for i in range(m)))
+    if not verify_certificate(A, b, certificate):
+        raise CyclingDetected("solver produced a certificate that fails audit")
+    return tableau, cost, certificate
 
 
 def solve_feasibility(A: Sequence[Sequence[Scalar]],
@@ -234,26 +258,17 @@ def solve_feasibility(A: Sequence[Sequence[Scalar]],
     a Farkas certificate read off the final Phase-I reduced costs.  Both are
     re-verified here before being returned.
     """
-    rows, rhs, exact = _normalize(A, b)
-    m = len(rows)
-    n = len(rows[0]) if rows else 0
-    if m == 0:
+    rows, rhs, zero = _normalize(A, b)
+    if not rows:
         return LPResult(status="feasible", x=())
-    tableau, flips, _ = _phase_one(rows, rhs, exact)
-    if sign(tableau.value) == 0:
-        x = tableau.solution(n)
-        if not verify_solution(A, b, x):
-            raise CyclingDetected("solver returned a point that fails audit")
-        return LPResult(status="feasible", x=x)
-    one = ExactScalar.from_rational(1) if exact else 1.0
-    y = []
-    for i in range(m):
-        multiplier = one - tableau.objective[n + i]
-        y.append(-multiplier if flips[i] else multiplier)
-    certificate = FarkasCertificate(y=tuple(y))
-    if not verify_certificate(A, b, certificate):
-        raise CyclingDetected("solver produced a certificate that fails audit")
-    return LPResult(status="infeasible", certificate=certificate)
+    tableau, _, certificate = _phase_one(rows, rhs, [zero] * len(rows[0]),
+                                         zero, A, b)
+    if certificate:
+        return LPResult(status="infeasible", certificate=certificate)
+    x = tableau.solution(len(rows[0]))
+    if not verify_solution(A, b, x):
+        raise CyclingDetected("solver returned a point that fails audit")
+    return LPResult(status="feasible", x=x)
 
 
 def solve_min(c: Sequence[Scalar], A: Sequence[Sequence[Scalar]],
@@ -264,100 +279,75 @@ def solve_min(c: Sequence[Scalar], A: Sequence[Sequence[Scalar]],
     the region is empty; raises Unbounded when the objective has no minimum.
     Returns the exact optimal value and an optimal vertex.
     """
-    rows, rhs, exact = _normalize(A, b)
-    m = len(rows)
+    rows, rhs, zero = _normalize(A, b)
     n = len(rows[0]) if rows else 0
     if len(c) != n:
         raise DimensionMismatch(f"cost has {len(c)} entries for {n} columns")
-    cost, _, cost_exact = _normalize([list(c)], [0 if exact else 0.0])
-    cost = cost[0]
-    if cost_exact != exact:
-        raise MixedBackendError("cost vector backend differs from constraints")
-    if m == 0:
-        zero = ExactScalar.from_rational(0) if exact else 0.0
-        for j in range(n):
-            if sign(cost[j]) < 0:
-                raise Unbounded("negative cost on an unconstrained column")
-        return zero, tuple([zero] * n)
-    tableau, flips, _ = _phase_one(rows, rhs, exact)
-    if sign(tableau.value) != 0:
-        one = ExactScalar.from_rational(1) if exact else 1.0
-        y = []
-        for i in range(m):
-            multiplier = one - tableau.objective[n + i]
-            y.append(-multiplier if flips[i] else multiplier)
-        certificate = FarkasCertificate(y=tuple(y))
-        if not verify_certificate(A, b, certificate):
-            raise CyclingDetected("solver produced a certificate that fails audit")
+    # a cost of the other backend makes this raise MixedBackendError
+    (cost,), _, _ = _normalize([list(c)], [zero])
+    tableau, cells, certificate = _phase_one(rows, rhs, cost, zero, A, b)
+    if certificate:
         raise InfeasibleProblem(certificate)
 
     # drive artificials out of the basis; rows that cannot release one are
     # redundant combinations of other rows and get dropped
     drop = []
-    for i in range(m):
-        if tableau.basis[i] < n:
-            continue
-        pivot_col = None
-        for j in range(n):
-            if j not in tableau.basis and sign(tableau.rows[i][j]) != 0:
-                pivot_col = j
-                break
-        if pivot_col is None:
-            drop.append(i)
-        else:
-            tableau.pivot(i, pivot_col)
+    for i in range(len(rows)):
+        if tableau.basis[i] >= n:
+            col = next((j for j in range(n) if j not in tableau.basis
+                        and sign(tableau.rows[i][j]) != 0), None)
+            if col is None:
+                drop.append(i)
+            else:
+                tableau.pivot(i, col)
     for i in reversed(drop):
         del tableau.rows[i]
         del tableau.basis[i]
 
     body = [row[:n] + [row[-1]] for row in tableau.rows]
-    phase_two = Tableau(body, basis=list(tableau.basis), cost=cost)
+    phase_two = Tableau(body, list(tableau.basis), cells + [zero],
+                        tableau.scale, tableau.div)
     phase_two.run(range(n))
     x = phase_two.solution(n)
     if not verify_solution(A, b, x):
         raise CyclingDetected("optimizer returned a point that fails audit")
-    zero = ExactScalar.from_rational(0) if exact else 0.0
-    value = zero
-    for j in range(n):
-        if sign(x[j]) != 0 and sign(cost[j]) != 0:
-            value = value + cost[j] * x[j]
-    return value, x
+    return sum((cost[j] * x[j] for j in range(n)
+                if sign(x[j]) != 0 and sign(cost[j]) != 0), zero), x
+
+
+def _plain(v):
+    """A rational value as an int or a Fraction; any other value unchanged."""
+    if isinstance(v, ExactScalar) and not v.b:
+        v = v.a
+    return v.numerator if isinstance(v, Fraction) and v.denominator == 1 else v
 
 
 def verify_solution(A: Sequence[Sequence[Scalar]], b: Sequence[Scalar],
                     x: Sequence[Scalar]) -> bool:
     """Independent audit of Ax = b and x >= 0 (exact, or within 1e-9)."""
-    if any(sign(v) < 0 for v in x):
+    if any(sign(v) < 0 for v in x) or any(len(row) != len(x) for row in A):
         return False
-    for row, target in zip(A, b):
-        total = None
-        for coeff, value in zip(row, x):
-            term = coeff * value
-            total = term if total is None else total + term
-        if total is None:
-            total = zero_like(target if isinstance(target, (ExactScalar, float))
-                              else 0.0)
-        if sign(total - target) != 0:
-            return False
-    return True
+    support = [j for j, v in enumerate(x) if v]
+    return all(sign(sum(_plain(row[j]) * x[j] for j in support if row[j])
+                    - target) == 0 for row, target in zip(A, b))
 
 
 def verify_certificate(A: Sequence[Sequence[Scalar]], b: Sequence[Scalar],
                        certificate: FarkasCertificate) -> bool:
-    """Independent audit of y^T A <= 0 componentwise and y^T b > 0."""
+    """Independent audit of y^T A <= 0 componentwise and y^T b > 0.
+
+    y^T A runs over the nonzero entries of A only, in plain rationals when
+    y and A are rational; only y^T b needs Q(sqrt2).
+    """
     y = certificate.y
     if len(y) != len(b):
         return False
-    ncols = len(A[0]) if A else 0
-    for j in range(ncols):
-        total = None
-        for i in range(len(y)):
-            term = y[i] * A[i][j]
-            total = term if total is None else total + term
-        if total is not None and sign(total) > 0:
-            return False
-    total = None
-    for i in range(len(y)):
-        term = y[i] * b[i]
-        total = term if total is None else total + term
-    return total is not None and sign(total) > 0
+    totals = {}
+    for weight, row in zip(y, A):
+        if weight:
+            weight = _plain(weight)
+            for j, v in enumerate(row):
+                if v:
+                    totals[j] = totals.get(j, 0) + weight * _plain(v)
+    return all(sign(total) <= 0 for total in totals.values()) and \
+        sign(sum(weight * target for weight, target in zip(y, b) if weight)) > 0

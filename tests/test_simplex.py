@@ -223,3 +223,193 @@ class TestVerifiers:
     def test_result_shape(self):
         result = LPResult(status="feasible", x=(ex(1),))
         assert result.feasible and result.certificate is None
+
+
+SQRT2 = ExactScalar(Fraction(0), Fraction(1))
+
+
+def sixths_system(rng, max_rows=3, max_cols=5):
+    """Entries k/6, so rows need scaling to integers, and b in Q(sqrt2)."""
+    m = rng.randint(1, max_rows)
+    n = rng.randint(1, max_cols)
+    A = [[Fraction(rng.randint(-6, 6), 6) for _ in range(n)]
+         for _ in range(m)]
+    b = [ExactScalar(Fraction(rng.randint(-4, 4), 2),
+                     Fraction(rng.randint(-2, 2), 3)) for _ in range(m)]
+    return A, b
+
+
+def sqrt2_value(rng):
+    return ExactScalar(Fraction(rng.randint(-2, 2), 2),
+                       Fraction(rng.choice((-1, 0, 0, 1))))
+
+
+def sqrt2_system(rng, max_rows=3, max_cols=4):
+    """Entries a + b*sqrt2: the solver keeps ExactScalar cells."""
+    m = rng.randint(1, max_rows)
+    n = rng.randint(1, max_cols)
+    A = [[sqrt2_value(rng) for _ in range(n)] for _ in range(m)]
+    b = [sqrt2_value(rng) for _ in range(m)]
+    return A, b
+
+
+def exact_columns(A):
+    return [[ExactScalar.from_rational(v) if isinstance(v, Fraction) else v
+             for v in column] for column in columns_of(A)]
+
+
+def check_against_oracle(A, b):
+    result = solve_feasibility(A, b)
+    oracle = exact_lp_feasible(exact_columns(A), b)
+    if result.feasible:
+        assert oracle is not None
+        assert verify_solution(A, b, result.x)
+    else:
+        assert oracle is None
+        assert verify_certificate(A, b, result.certificate)
+    return result.feasible
+
+
+def check_min_against_oracle(cost, A, b):
+    """True when a finite optimum was compared with the vertex oracle."""
+    try:
+        value, x = solve_min(cost, A, b)
+    except InfeasibleProblem as error:
+        assert exact_lp_feasible(exact_columns(A), b) is None
+        assert verify_certificate(A, b, error.certificate)
+        return False
+    except Unbounded:
+        assert exact_lp_feasible(exact_columns(A), b) is not None
+        return False
+    exact_cost = [ExactScalar.from_rational(v) if isinstance(v, Fraction)
+                  else v for v in cost]
+    assert value == exact_lp_minimize(exact_cost, exact_columns(A), b)
+    assert verify_solution(A, b, x)
+    return True
+
+
+class TestExactKernelRandom:
+    """Seeded systems for the fraction-free kernel's less common paths."""
+
+    def test_sixths_feasibility(self):
+        rng = random.Random(20261020)
+        verdicts = [check_against_oracle(*sixths_system(rng))
+                    for _ in range(120)]
+        assert verdicts.count(True) > 15 and verdicts.count(False) > 15
+
+    def test_sixths_minimization(self):
+        rng = random.Random(20261021)
+        compared = 0
+        for _ in range(100):
+            A, b = sixths_system(rng)
+            cost = [Fraction(rng.randint(-6, 6), 6) for _ in A[0]]
+            compared += check_min_against_oracle(cost, A, b)
+        assert compared > 15
+
+    def test_sqrt2_entries_feasibility(self):
+        rng = random.Random(20261022)
+        verdicts = [check_against_oracle(*sqrt2_system(rng))
+                    for _ in range(100)]
+        assert verdicts.count(True) > 15 and verdicts.count(False) > 15
+
+    def test_sqrt2_entries_minimization(self):
+        rng = random.Random(20261023)
+        compared = 0
+        for _ in range(100):
+            A, b = sqrt2_system(rng)
+            cost = [sqrt2_value(rng) for _ in A[0]]
+            compared += check_min_against_oracle(cost, A, b)
+        assert compared > 15
+
+    @pytest.mark.parametrize("scale", [1, Fraction(1, 6), SQRT2])
+    def test_negative_drive_out_pivot(self, scale):
+        # Phase I ends with row 2's artificial basic at level zero and a
+        # negative entry under x2, so the drive-out pivots on a negative head
+        A = [[scale, scale], [Fraction(1, 3), Fraction(-1, 3)]]
+        b = [scale, Fraction(1, 3)]
+        value, x = solve_min([ex(0), ex(1)], A, b)
+        assert value == ex(0)
+        assert x == (ex(1), ex(0))
+        value, x = solve_min([ex(-1), ex(1)], A, b)
+        assert value == ex(-1)
+        assert x == (ex(1), ex(0))
+
+    @pytest.mark.parametrize("A, b, cost, best", [
+        ([[1, 1, 1], [0, 1, 1]], [1, 1], [-1, 0, -2], -2),
+        ([[2, -2, 2], [1, -2, 1]], [2, 1], [2, 1, -2], -2),
+    ])
+    @pytest.mark.parametrize("scale", [1, Fraction(1, 6)])
+    def test_phase_two_after_negative_drive_out(self, A, b, cost, best,
+                                                scale):
+        # a wrong sign on the common scale after the drive-out would stop
+        # Phase II at a worse vertex
+        A = [[scale * v for v in row] for row in A]
+        b = [scale * v for v in b]
+        value, x = solve_min(cost, A, b)
+        assert value == ex(best)
+        assert verify_solution(A, b, x)
+
+    def test_certificate_after_bareiss_pivot(self):
+        # 2x = 1 and x = 1: Phase I pivots on the head 2, so the reduced
+        # costs are read off over the common denominator 2
+        result = solve_feasibility([[ex(2)], [ex(1)]], [ex(1), ex(1)])
+        assert result.certificate.y == (ex(Fraction(-1, 2)), ex(1))
+
+    def test_sqrt2_cost_over_rational_rows(self):
+        rng = random.Random(20261024)
+        compared = 0
+        for _ in range(80):
+            A, b = sixths_system(rng)
+            cost = [sqrt2_value(rng) for _ in A[0]]
+            compared += check_min_against_oracle(cost, A, b)
+        assert compared > 10
+
+
+def column_sums(A, y):
+    return [sum(y[i].a * A[i][j].a for i in range(len(y)))
+            for j in range(len(A[0]))]
+
+
+class TestCertificatePerturbation:
+    def test_one_entry_perturbation_fails_audit(self):
+        # canonical correlation problem: 37 x 64, entries 0/1, sqrt2 in b
+        from bellgate.feasibility import build_prop2
+        from bellgate.qubit import canonical_scenario
+        problem = build_prop2(canonical_scenario())
+        A, b = problem.matrix, problem.rhs
+        y = solve_feasibility(A, b).certificate.y
+        assert verify_certificate(A, b, FarkasCertificate(y=y))
+        sums = column_sums(A, y)
+        tried = 0
+        for i in range(len(y)):
+            tight = [j for j, total in enumerate(sums)
+                     if total == 0 and A[i][j]]
+            if not tight:
+                continue
+            # raising y_i by A_ij / 64 lifts column j's sum above zero
+            bumped = list(y)
+            bumped[i] = y[i] + A[i][tight[0]] * Fraction(1, 64)
+            assert not verify_certificate(A, b, FarkasCertificate(y=tuple(bumped)))
+            tried += 1
+        assert tried > len(y) // 2
+
+    def test_perturbed_random_certificates_fail_audit(self):
+        rng = random.Random(20261025)
+        tried = 0
+        for _ in range(120):
+            A, b = sixths_system(rng)
+            result = solve_feasibility(A, b)
+            if result.feasible:
+                continue
+            rows = [[ExactScalar.from_rational(v) for v in row] for row in A]
+            y = result.certificate.y
+            for j, total in enumerate(column_sums(rows, y)):
+                i = next((i for i in range(len(y)) if rows[i][j]), None)
+                if total == 0 and i is not None:
+                    bumped = list(y)
+                    bumped[i] = y[i] + rows[i][j] * Fraction(1, 7)
+                    assert not verify_certificate(
+                        A, b, FarkasCertificate(y=tuple(bumped)))
+                    tried += 1
+                    break
+        assert tried > 10
