@@ -436,9 +436,7 @@ def extract_inequality(certificate: FarkasCertificate,
     if compare(best, bound) > 0:
         raise UnverifiedCertificate(
             f"strategy {strategy_key(strategy)} reaches {best}, above the bound")
-    y_dot_b = zero
-    for i, value in enumerate(lifted):
-        y_dot_b = y_dot_b + value * problem.rhs[i]
+    y_dot_b = sum((v * r for v, r in zip(lifted, problem.rhs)), zero)
     if compare(margin - bound, y_dot_b) != 0:
         raise UnverifiedCertificate("margin does not match the certificate")
     return inequality

@@ -14,9 +14,8 @@ solver hands them out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .scalar import (ONE, ZERO, ExactScalar, MixedBackendError, Scalar, sign,
                      zero_like)
@@ -41,13 +40,12 @@ class Unbounded(RuntimeError):
 class InfeasibleProblem(RuntimeError):
     """Minimization was asked on an infeasible system; carries the certificate."""
 
-    def __init__(self, certificate: "FarkasCertificate"):
+    def __init__(self, certificate: FarkasCertificate):
         super().__init__("constraint system is infeasible")
         self.certificate = certificate
 
 
-@dataclass(frozen=True)
-class FarkasCertificate:
+class FarkasCertificate(NamedTuple):
     """Row multipliers y proving Ax = b, x >= 0 unsatisfiable.
 
     Validity means y^T A <= 0 componentwise while y^T b > 0; any x >= 0 with
@@ -57,8 +55,7 @@ class FarkasCertificate:
     y: Tuple[Scalar, ...]
 
 
-@dataclass(frozen=True)
-class LPResult:
+class LPResult(NamedTuple):
     """Outcome of a feasibility solve: a point or a certificate, never both."""
 
     status: str  # "feasible" | "infeasible"
@@ -207,9 +204,9 @@ def _phase_one(rows, rhs, cost, zero, A, b):
     """Solve Phase I on [A | I | b], rows with b_i < 0 negated; returns the
     tableau, the cost in its cells and an audited certificate or None.
 
-    Rows over Q start at [A | I] times prod s_i, s_i a multiple of row i's
-    denominators: the Bareiss state of the int rows.  sqrt2 in A or the
-    cost keeps ExactScalar cells.
+    Over Q, the cells start at [A | I] and c times prod s_i, s_i a multiple
+    of row i's (or c's) denominators: the Bareiss state of the int rows.
+    sqrt2 in A or c keeps ExactScalar cells.
     """
     m, n = len(rows), len(cost)
     flips = [sign(v) < 0 for v in rhs]
@@ -218,15 +215,12 @@ def _phase_one(rows, rhs, cost, zero, A, b):
     elif any(v.b for v in cost) or any(v.b for row in rows for v in row):
         scale, div = ONE, ExactScalar.__truediv__
     else:
-        scale, unit, div = 1, 1, int.__floordiv__
-        for row in rows:
+        scale, div = 1, int.__floordiv__
+        for row in rows + [cost]:
             for q in {v.a.denominator for v in row}:
                 scale *= q
-        for q in {c.a.denominator for c in cost}:
-            unit *= q
-        rows = [[v.a.numerator * (scale // v.a.denominator) for v in row]
-                for row in rows]
-        cost = [c.a.numerator * (unit // c.a.denominator) for c in cost]
+        *rows, cost = [[v.a.numerator * (scale // v.a.denominator)
+                        for v in row] for row in rows + [cost]]
     body = []
     for i, row in enumerate(rows):
         if flips[i]:
@@ -259,13 +253,11 @@ def solve_feasibility(A: Sequence[Sequence[Scalar]],
     re-verified here before being returned.
     """
     rows, rhs, zero = _normalize(A, b)
-    if not rows:
-        return LPResult(status="feasible", x=())
-    tableau, _, certificate = _phase_one(rows, rhs, [zero] * len(rows[0]),
-                                         zero, A, b)
+    n = len(rows[0]) if rows else 0
+    tableau, _, certificate = _phase_one(rows, rhs, [zero] * n, zero, A, b)
     if certificate:
         return LPResult(status="infeasible", certificate=certificate)
-    x = tableau.solution(len(rows[0]))
+    x = tableau.solution(n)
     if not verify_solution(A, b, x):
         raise CyclingDetected("solver returned a point that fails audit")
     return LPResult(status="feasible", x=x)
@@ -315,8 +307,10 @@ def solve_min(c: Sequence[Scalar], A: Sequence[Sequence[Scalar]],
                 if sign(x[j]) != 0 and sign(cost[j]) != 0), zero), x
 
 
-def _plain(v):
-    """A rational value as an int or a Fraction; any other value unchanged."""
+def _rational(v):
+    """A rational exact value as a plain int or Fraction."""
+    if isinstance(v, float):
+        raise MixedBackendError("exact and float values in one audit")
     if isinstance(v, ExactScalar) and not v.b:
         v = v.a
     return v.numerator if isinstance(v, Fraction) and v.denominator == 1 else v
@@ -328,8 +322,8 @@ def verify_solution(A: Sequence[Sequence[Scalar]], b: Sequence[Scalar],
     if any(sign(v) < 0 for v in x) or any(len(row) != len(x) for row in A):
         return False
     support = [j for j, v in enumerate(x) if v]
-    return all(sign(sum(_plain(row[j]) * x[j] for j in support if row[j])
-                    - target) == 0 for row, target in zip(A, b))
+    return all(sign(sum(row[j] * x[j] for j in support if row[j]) - target)
+               == 0 for row, target in zip(A, b))
 
 
 def verify_certificate(A: Sequence[Sequence[Scalar]], b: Sequence[Scalar],
@@ -337,17 +331,20 @@ def verify_certificate(A: Sequence[Sequence[Scalar]], b: Sequence[Scalar],
     """Independent audit of y^T A <= 0 componentwise and y^T b > 0.
 
     y^T A runs over the nonzero entries of A only, in plain rationals when
-    y and A are rational; only y^T b needs Q(sqrt2).
+    y and A are exact and rational; only y^T b needs Q(sqrt2).
     """
     y = certificate.y
     if len(y) != len(b):
         return False
-    totals = {}
+    totals = [0] * max(map(len, A), default=0)
     for weight, row in zip(y, A):
         if weight:
-            weight = _plain(weight)
+            exact = not isinstance(weight, float)
+            if exact:
+                weight = _rational(weight)
             for j, v in enumerate(row):
                 if v:
-                    totals[j] = totals.get(j, 0) + weight * _plain(v)
-    return all(sign(total) <= 0 for total in totals.values()) and \
+                    totals[j] = totals[j] + weight * (_rational(v) if exact
+                                                      else v)
+    return all(sign(total) <= 0 for total in totals) and \
         sign(sum(weight * target for weight, target in zip(y, b) if weight)) > 0
