@@ -413,3 +413,17 @@ class TestCertificatePerturbation:
                     tried += 1
                     break
         assert tried > 10
+
+
+class TestAuditBackends:
+    def test_certificate_audit_refuses_mixed_backends(self):
+        with pytest.raises(MixedBackendError):
+            verify_certificate([[ex(1)], [ex(-1)]], [ex(1), ex(1)],
+                               FarkasCertificate(y=(1.0, 1.0)))
+        with pytest.raises(MixedBackendError):
+            verify_certificate([[1.0], [-1.0]], [1.0, 1.0],
+                               FarkasCertificate(y=(ex(1), ex(1))))
+
+    def test_solution_audit_refuses_mixed_backends(self):
+        with pytest.raises(MixedBackendError):
+            verify_solution([[ex(1)]], [ex(1)], [1.0])
