@@ -40,7 +40,7 @@ class Unbounded(RuntimeError):
 class InfeasibleProblem(RuntimeError):
     """Minimization was asked on an infeasible system; carries the certificate."""
 
-    def __init__(self, certificate: FarkasCertificate):
+    def __init__(self, certificate: "FarkasCertificate"):
         super().__init__("constraint system is infeasible")
         self.certificate = certificate
 
