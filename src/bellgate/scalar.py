@@ -61,7 +61,7 @@ class ExactScalar:
         if isinstance(other, ExactScalar):
             return other
         if isinstance(other, (int, Fraction)):
-            return ExactScalar(_as_fraction(other), Fraction(0))
+            return ExactScalar.from_rational(other)
         if isinstance(other, float):
             raise MixedBackendError(
                 "cannot mix float values into exact arithmetic"

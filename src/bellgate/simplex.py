@@ -105,9 +105,8 @@ class Tableau:
 
     rows[i] has one entry per structural column plus the rhs in the last
     slot.  The objective row stores reduced costs c_j - z_j with -c.x in
-    its rhs slot, so a pivot updates it like any other row.  All but rhs
-    slots are stored times `scale` > 0; an exact pivot makes its head the
-    scale (Bareiss 1968), a float one (div None) divides its row by it.
+    its rhs slot, so a pivot updates it like any other row.  Non-rhs slots
+    are stored times `scale` > 0, the last exact pivot (Bareiss 1968).
     """
 
     def __init__(self, rows, basis, cost, scale, div):
@@ -138,28 +137,29 @@ class Tableau:
             # a negated row keeps the new common denominator positive
             head = -head
             pivot_row = rows[row_index] = [-v for v in pivot_row]
+        unit = head == scale == 1
         body, rhs = pivot_row[:-1], pivot_row[-1]
-        # only touched cells: zero entries of the pivot row change nothing
-        live = [j for j, v in enumerate(body) if v]
+        # only touched cells: zero entries of the pivot row change nothing;
+        # at unit scale the rhs slot is eliminated with them
+        live = [j for j, v in enumerate(pivot_row if unit else body) if v]
         for target in rows + [self.objective]:
             factor = target[col]
-            if target is pivot_row:
+            if target is pivot_row or not factor and (unit or head == scale):
                 continue
-            if head != scale:
+            if unit:
+                for j in live:
+                    target[j] = target[j] - factor * pivot_row[j]
+                continue
+            if head == scale:
+                for j in live:
+                    target[j] = target[j] - div(factor * body[j], scale)
+            else:
                 # Bareiss: (head * v - factor * w) / scale divides exactly
                 target[:-1] = [div(head * v - factor * w, scale) if v or w
                                else v for v, w in zip(target, body)]
-            elif not factor:
-                continue
-            elif scale == 1:
-                for j in live:
-                    target[j] = target[j] - factor * body[j]
-            else:
-                for j in live:
-                    target[j] = target[j] - div(factor * body[j], scale)
             if factor and rhs:
                 target[-1] = target[-1] - rhs * factor / head
-        if rhs:
+        if rhs and not unit:
             pivot_row[-1] = rhs * scale / head
         self.scale = head
         self.basis[row_index] = col
@@ -201,12 +201,11 @@ class Tableau:
 
 
 def _phase_one(rows, rhs, cost, zero, A, b):
-    """Solve Phase I on [A | I | b], rows with b_i < 0 negated; returns the
-    tableau, the cost in its cells and an audited certificate or None.
+    """Solve Phase I on [A | I | b], rows with b_i < 0 negated.  Returns the
+    tableau, the cost in its cells and the audited certificate or None.
 
-    Over Q, the cells start at [A | I] and c times prod s_i, s_i a multiple
-    of row i's (or c's) denominators: the Bareiss state of the int rows.
-    sqrt2 in A or c keeps ExactScalar cells.
+    Over Q, cells start at [A | I] and c times prod s_i, s_i a multiple of
+    row i's (or c's) denominators; sqrt2 in A or c keeps ExactScalar cells.
     """
     m, n = len(rows), len(cost)
     flips = [sign(v) < 0 for v in rhs]
