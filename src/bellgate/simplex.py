@@ -138,17 +138,17 @@ class Tableau:
             head = -head
             pivot_row = rows[row_index] = [-v for v in pivot_row]
         unit = head == scale == 1
-        body, rhs = pivot_row[:-1], pivot_row[-1]
-        # only touched cells: zero entries of the pivot row change nothing;
-        # at unit scale the rhs slot is eliminated with them
-        live = [j for j, v in enumerate(pivot_row if unit else body) if v]
+        # at unit scale the rhs slot is eliminated like the body cells
+        body, rhs = pivot_row if unit else pivot_row[:-1], pivot_row[-1]
+        # only touched cells: zero entries of the pivot row change nothing
+        live = [j for j, v in enumerate(body) if v]
         for target in rows + [self.objective]:
             factor = target[col]
             if target is pivot_row or not factor and (unit or head == scale):
                 continue
             if unit:
                 for j in live:
-                    target[j] = target[j] - factor * pivot_row[j]
+                    target[j] = target[j] - factor * body[j]
                 continue
             if head == scale:
                 for j in live:

@@ -423,6 +423,9 @@ class TestAuditBackends:
         with pytest.raises(MixedBackendError):
             verify_certificate([[1.0], [-1.0]], [1.0, 1.0],
                                FarkasCertificate(y=(ex(1), ex(1))))
+        # y^T A > 0 here, so only the column sums can see the mix
+        with pytest.raises(MixedBackendError):
+            verify_certificate([[1.0]], [1.0], FarkasCertificate(y=(ex(1),)))
 
     def test_solution_audit_refuses_mixed_backends(self):
         with pytest.raises(MixedBackendError):
