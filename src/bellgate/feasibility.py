@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
 from .ontology import (
@@ -34,8 +35,6 @@ from .qubit import (
     born_probability,
 )
 from .scalar import (
-    ONE,
-    ZERO,
     ExactScalar,
     MixedBackendError,
     Scalar,
@@ -78,7 +77,11 @@ def _target_exact(scenario: Scenario, mode: Optional[str]) -> bool:
 
 
 def _field(exact: bool) -> Tuple[Scalar, Scalar, Scalar]:
-    return (ZERO, ONE / 2, ONE) if exact else (0.0, 0.5, 1.0)
+    if exact:
+        return (ExactScalar(Fraction(0), Fraction(0)),
+                ExactScalar(Fraction(1, 2), Fraction(0)),
+                ExactScalar(Fraction(1), Fraction(0)))
+    return 0.0, 0.5, 1.0
 
 
 def _emit(value: Scalar, exact: bool) -> Scalar:
@@ -92,7 +95,7 @@ def _lift(value, exact: bool) -> Scalar:
             raise MixedBackendError("float entry in an exact certificate")
         if isinstance(value, ExactScalar):
             return value
-        return ExactScalar.from_rational(value)
+        return ExactScalar(Fraction(value), Fraction(0))
     return float(value)
 
 
@@ -436,7 +439,9 @@ def extract_inequality(certificate: FarkasCertificate,
     if compare(best, bound) > 0:
         raise UnverifiedCertificate(
             f"strategy {strategy_key(strategy)} reaches {best}, above the bound")
-    y_dot_b = sum((v * r for v, r in zip(lifted, problem.rhs)), zero)
+    y_dot_b = zero
+    for i, value in enumerate(lifted):
+        y_dot_b = y_dot_b + value * problem.rhs[i]
     if compare(margin - bound, y_dot_b) != 0:
         raise UnverifiedCertificate("margin does not match the certificate")
     return inequality

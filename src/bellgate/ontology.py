@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
-from .qubit import Scenario, _check_outcome, born_probability
+from .qubit import Scenario, born_probability
 from .scalar import (
     Scalar,
     ensure_same_backend,
@@ -35,6 +35,11 @@ class UnknownMeasurement(KeyError):
 
 class UnknownSetting(KeyError):
     """The LHV model has no measurement setting under that label."""
+
+
+def _check_outcome(outcome: int):
+    if outcome not in (0, 1):
+        raise ValueError(f"outcome must be 0 or 1, got {outcome!r}")
 
 
 def _check_distribution(values: Sequence[Scalar], what: str):
@@ -97,7 +102,7 @@ class ResponseFunctions:
         object.__setattr__(self, "table", frozen)
         for meas, cells in self.table.items():
             for cell, pair in cells.items():
-                ensure_same_backend(*pair)
+                exact = ensure_same_backend(*pair)
                 if sign(pair[0]) < 0 or sign(pair[1]) < 0:
                     raise ValueError(
                         f"response({meas}, {cell}) has a negative probability")

@@ -61,7 +61,7 @@ class ExactScalar:
         if isinstance(other, ExactScalar):
             return other
         if isinstance(other, (int, Fraction)):
-            return ExactScalar.from_rational(other)
+            return ExactScalar(_as_fraction(other), Fraction(0))
         if isinstance(other, float):
             raise MixedBackendError(
                 "cannot mix float values into exact arithmetic"
@@ -95,8 +95,6 @@ class ExactScalar:
         return bool(self.a or self.b)
 
     def __mul__(self, other):
-        if type(other) is int:
-            return ExactScalar(self.a * other, self.b * other)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -115,8 +113,6 @@ class ExactScalar:
         return ExactScalar(self.a / norm, -self.b / norm)
 
     def __truediv__(self, other):
-        if type(other) is int:
-            return ExactScalar(self.a / other, self.b / other)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -233,7 +229,9 @@ def is_zero(x: Scalar, tolerance: float = FLOAT_TOLERANCE) -> bool:
 
 def compare(x: Scalar, y: Scalar, tolerance: float = FLOAT_TOLERANCE) -> int:
     """Sign of x - y on a shared backend (-1 less, 0 equal, +1 greater)."""
-    ensure_same_backend(x, y)
+    exact = ensure_same_backend(x, y)
+    if exact:
+        return (x - y).sign()
     return sign(x - y, tolerance)
 
 
@@ -268,16 +266,18 @@ def scalar_from_json(value, mode: str = "exact") -> Scalar:
         raise ValueError(f"unknown mode {mode!r}")
     if isinstance(value, dict):
         exact = ExactScalar(Fraction(str(value["a"])), Fraction(str(value["b"])))
-    elif isinstance(value, bool):
-        raise TypeError("booleans are not scalars")
-    elif isinstance(value, (str, int)):
+        return exact if mode == "exact" else to_float(exact)
+    if isinstance(value, str):
         exact = ExactScalar.from_rational(value)
-    elif isinstance(value, float):
+        return exact if mode == "exact" else to_float(exact)
+    if isinstance(value, bool):
+        raise TypeError("booleans are not scalars")
+    if isinstance(value, int):
+        return ExactScalar.from_rational(value) if mode == "exact" else float(value)
+    if isinstance(value, float):
         if mode == "exact":
             raise MixedBackendError(
                 f"float value {value!r} in an exact-mode document"
             )
         return value
-    else:
-        raise TypeError(f"cannot parse scalar from {value!r}")
-    return exact if mode == "exact" else to_float(exact)
+    raise TypeError(f"cannot parse scalar from {value!r}")

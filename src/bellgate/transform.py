@@ -27,7 +27,7 @@ from .ontology import (
     mixture_measure,
     strategy_key,
 )
-from .qubit import Scenario, _check_outcome
+from .qubit import Scenario
 from .scalar import (Scalar, is_zero, one_like, scalar_to_json, sign,
                      zero_like)
 
@@ -103,7 +103,8 @@ def reverse_group(lhv: LocalHVModel, side: str, measurement: str,
     """
     if side not in ("A", "B"):
         raise ValueError(f"side must be 'A' or 'B', not {side!r}")
-    _check_outcome(outcome)
+    if outcome not in (0, 1):
+        raise ValueError(f"outcome must be 0 or 1, not {outcome!r}")
     j = lhv.setting_index(measurement)
     conditioned = 1 if side == "B" else 0
     observed = 0 if side == "B" else 1
