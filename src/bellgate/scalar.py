@@ -95,6 +95,8 @@ class ExactScalar:
         return bool(self.a or self.b)
 
     def __mul__(self, other):
+        if type(other) is int:
+            return ExactScalar(self.a * other, self.b * other)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -113,6 +115,8 @@ class ExactScalar:
         return ExactScalar(self.a / norm, -self.b / norm)
 
     def __truediv__(self, other):
+        if type(other) is int:
+            return ExactScalar(self.a / other, self.b / other)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -215,10 +219,11 @@ def ensure_same_backend(*values: Scalar) -> bool:
 
 
 def sign(x: Scalar, tolerance: float = FLOAT_TOLERANCE) -> int:
-    """-1, 0 or +1.  Exact scalars use the symbolic rule; floats use tolerance."""
+    """-1, 0 or +1.  Exact scalars use the symbolic rule, ints and Fractions
+    their own comparisons; only floats use the tolerance."""
     if isinstance(x, ExactScalar):
         return x.sign()
-    if abs(x) <= tolerance:
+    if not x or isinstance(x, float) and abs(x) <= tolerance:
         return 0
     return 1 if x > 0 else -1
 

@@ -73,20 +73,15 @@ def _normalize(A: Sequence[Sequence[Scalar]], b: Sequence[Scalar]):
     The backend is float when any entry is a float, exact otherwise; mixing
     floats with ExactScalars raises.  Returns (rows, rhs, backend zero).
     """
-    rows = [list(row) for row in A]
-    rhs = list(b)
-    if len(rows) != len(rhs):
+    if len(A) != len(b):
         raise DimensionMismatch(
-            f"{len(rows)} constraint rows but {len(rhs)} right-hand sides")
-    if any(len(row) != len(rows[0]) for row in rows):
+            f"{len(A)} constraint rows but {len(b)} right-hand sides")
+    if any(len(row) != len(A[0]) for row in A):
         raise DimensionMismatch("ragged constraint matrix")
-    kinds = {type(v) for row in rows for v in row} | set(map(type, rhs))
+    kinds = {type(v) for row in A for v in row} | set(map(type, b))
     has_float = any(issubclass(kind, float) for kind in kinds)
     if has_float and ExactScalar in kinds:
         raise MixedBackendError("constraint system mixes exact and float entries")
-    zero = 0.0 if has_float else ZERO
-    if kinds <= {ExactScalar, float}:
-        return rows, rhs, zero
 
     def coerce(v):
         if isinstance(v, (ExactScalar, float)):
@@ -95,9 +90,8 @@ def _normalize(A: Sequence[Sequence[Scalar]], b: Sequence[Scalar]):
             return float(v) if has_float else ExactScalar.from_rational(v)
         raise TypeError(f"unsupported matrix entry {v!r}")
 
-    rows = [[coerce(v) for v in row] for row in rows]
-    rhs = [coerce(v) for v in rhs]
-    return rows, rhs, zero
+    return ([[coerce(v) for v in row] for row in A], [coerce(v) for v in b],
+            0.0 if has_float else ZERO)
 
 
 class Tableau:
@@ -109,12 +103,11 @@ class Tableau:
     are stored times `scale` > 0, the last exact pivot (Bareiss 1968).
     """
 
-    def __init__(self, rows, basis, cost, scale, div):
+    def __init__(self, rows, basis, cost, scale):
         # cost has a zero for the rhs slot
         self.rows = rows
         self.basis = basis
         self.scale = scale
-        self.div = div
         self.pivots = 0
         self.objective = out = [scale * c for c in cost]
         for i, row in enumerate(rows):
@@ -128,23 +121,25 @@ class Tableau:
         rows = self.rows
         pivot_row = rows[row_index]
         head = pivot_row[col]
-        scale, div = self.scale, self.div
-        if div is None:
-            if head != 1.0:
+        scale = self.scale
+        if type(scale) is not int:
+            # float or Q(sqrt2) cells: a field, so divide by the head
+            if head != 1:
                 pivot_row = rows[row_index] = [v / head for v in pivot_row]
             head = scale
-        elif sign(head) < 0:
+        elif head < 0:
             # a negated row keeps the new common denominator positive
             head = -head
             pivot_row = rows[row_index] = [-v for v in pivot_row]
         unit = head == scale == 1
         # at unit scale the rhs slot is eliminated like the body cells
-        body, rhs = pivot_row if unit else pivot_row[:-1], pivot_row[-1]
+        body = pivot_row if unit else pivot_row[:-1]
+        rhs = pivot_row[-1]
         # only touched cells: zero entries of the pivot row change nothing
         live = [j for j, v in enumerate(body) if v]
         for target in rows + [self.objective]:
             factor = target[col]
-            if target is pivot_row or not factor and (unit or head == scale):
+            if target is pivot_row or not factor and head == scale:
                 continue
             if unit:
                 for j in live:
@@ -152,10 +147,10 @@ class Tableau:
                 continue
             if head == scale:
                 for j in live:
-                    target[j] = target[j] - div(factor * body[j], scale)
+                    target[j] = target[j] - factor * body[j] // scale
             else:
                 # Bareiss: (head * v - factor * w) / scale divides exactly
-                target[:-1] = [div(head * v - factor * w, scale) if v or w
+                target[:-1] = [(head * v - factor * w) // scale if v or w
                                else v for v, w in zip(target, body)]
             if factor and rhs:
                 target[-1] = target[-1] - rhs * factor / head
@@ -170,19 +165,30 @@ class Tableau:
     def run(self, allowed_cols: range):
         """Pivot to optimality under Bland's rule; raise Unbounded if needed."""
         while True:
-            entering = next((j for j in allowed_cols if sign(self.objective[j])
-                             < 0 and j not in self.basis), None)
+            entering = None
+            for j in allowed_cols:
+                if sign(self.objective[j]) < 0 and j not in self.basis:
+                    entering = j
+                    break
             if entering is None:
                 return
-            leaving = best_ratio = None
+            leaving = None
+            best_ratio = None
             for i, row in enumerate(self.rows):
                 coeff = row[entering]
                 if sign(coeff) <= 0:
                     continue
                 # the common scale in coeff leaves the order of ratios alone
-                ratio = row[-1] / coeff if row[-1] else row[-1]
-                gap = -1 if best_ratio is None else sign(ratio - best_ratio) \
-                    if ratio or best_ratio else 0
+                ratio = row[-1]
+                if ratio:
+                    ratio = ratio / coeff
+                # two zero ratios tie without a Q(sqrt2) subtraction
+                if best_ratio is None:
+                    gap = -1
+                elif ratio or best_ratio:
+                    gap = sign(ratio - best_ratio)
+                else:
+                    gap = 0
                 if gap < 0:
                     best_ratio = ratio
                     leaving = i
@@ -204,22 +210,25 @@ def _phase_one(rows, rhs, cost, zero, A, b):
     """Solve Phase I on [A | I | b], rows with b_i < 0 negated.  Returns the
     tableau, the cost in its cells and the audited certificate or None.
 
-    Over Q, cells start at [A | I] and c times prod s_i, s_i a multiple of
-    row i's (or c's) denominators; sqrt2 in A or c keeps ExactScalar cells.
+    Over Q, cells start at [A | I] and c times S = prod s_i, s_i a multiple
+    of row i's (or c's) denominators: a Bareiss cell is S times a minor over
+    some of those rows, so it stays an integer.  sqrt2 in A or c keeps
+    ExactScalar cells.
     """
     m, n = len(rows), len(cost)
     flips = [sign(v) < 0 for v in rhs]
     if isinstance(zero, float):
-        scale, div = 1.0, None
-    elif any(v.b for v in cost) or any(v.b for row in rows for v in row):
-        scale, div = ONE, ExactScalar.__truediv__
+        scale = 1.0
+    elif any(v.b for row in rows + [cost] for v in row):
+        scale = ONE
     else:
-        scale, div = 1, int.__floordiv__
+        scale = 1
         for row in rows + [cost]:
             for q in {v.a.denominator for v in row}:
                 scale *= q
-        *rows, cost = [[v.a.numerator * (scale // v.a.denominator)
-                        for v in row] for row in rows + [cost]]
+        rows = [[v.a.numerator * (scale // v.a.denominator) for v in row]
+                for row in rows + [cost]]
+        cost = rows.pop()
     body = []
     for i, row in enumerate(rows):
         if flips[i]:
@@ -228,16 +237,18 @@ def _phase_one(rows, rhs, cost, zero, A, b):
         row[n + i] = scale
         body.append(row)
     tableau = Tableau(body, [n + i for i in range(m)],
-                      [0] * n + [1] * m + [zero], scale, div)
+                      [0] * n + [1] * m + [zero], scale)
     tableau.run(range(n + m))
     objective = tableau.objective
     if sign(objective[-1]) == 0:
         return tableau, cost, None
     # y_i = 1 - (reduced cost of artificial i), negated on flipped rows
     scale = tableau.scale
-    certificate = FarkasCertificate(y=tuple(
-        (zero + scale - objective[n + i]) / (-scale if flips[i] else scale)
-        for i in range(m)))
+    y = []
+    for i in range(m):
+        multiplier = (zero + scale - objective[n + i]) / scale
+        y.append(-multiplier if flips[i] else multiplier)
+    certificate = FarkasCertificate(y=tuple(y))
     if not verify_certificate(A, b, certificate):
         raise CyclingDetected("solver produced a certificate that fails audit")
     return tableau, cost, certificate
@@ -284,26 +295,30 @@ def solve_min(c: Sequence[Scalar], A: Sequence[Sequence[Scalar]],
     # redundant combinations of other rows and get dropped
     drop = []
     for i in range(len(rows)):
-        if tableau.basis[i] >= n:
-            col = next((j for j in range(n) if j not in tableau.basis
-                        and sign(tableau.rows[i][j]) != 0), None)
-            if col is None:
-                drop.append(i)
-            else:
-                tableau.pivot(i, col)
+        if tableau.basis[i] < n:
+            continue
+        for j in range(n):
+            if j not in tableau.basis and sign(tableau.rows[i][j]) != 0:
+                tableau.pivot(i, j)
+                break
+        else:
+            drop.append(i)
     for i in reversed(drop):
         del tableau.rows[i]
         del tableau.basis[i]
 
     body = [row[:n] + [row[-1]] for row in tableau.rows]
     phase_two = Tableau(body, list(tableau.basis), cells + [zero],
-                        tableau.scale, tableau.div)
+                        tableau.scale)
     phase_two.run(range(n))
     x = phase_two.solution(n)
     if not verify_solution(A, b, x):
         raise CyclingDetected("optimizer returned a point that fails audit")
-    return sum((cost[j] * x[j] for j in range(n)
-                if sign(x[j]) != 0 and sign(cost[j]) != 0), zero), x
+    value = zero
+    for j in range(n):
+        if sign(x[j]) != 0 and sign(cost[j]) != 0:
+            value = value + cost[j] * x[j]
+    return value, x
 
 
 def _rational(v):
@@ -321,8 +336,14 @@ def verify_solution(A: Sequence[Sequence[Scalar]], b: Sequence[Scalar],
     if any(sign(v) < 0 for v in x) or any(len(row) != len(x) for row in A):
         return False
     support = [j for j, v in enumerate(x) if v]
-    return all(sign(sum(row[j] * x[j] for j in support if row[j]) - target)
-               == 0 for row, target in zip(A, b))
+    for row, target in zip(A, b):
+        total = 0
+        for j in support:
+            if row[j]:
+                total = total + row[j] * x[j]
+        if sign(total - target) != 0:
+            return False
+    return True
 
 
 def verify_certificate(A: Sequence[Sequence[Scalar]], b: Sequence[Scalar],
@@ -345,5 +366,10 @@ def verify_certificate(A: Sequence[Sequence[Scalar]], b: Sequence[Scalar],
                 if v:
                     totals[j] = totals[j] + weight * (_rational(v) if exact
                                                       else v)
-    return all(sign(total) <= 0 for total in totals) and \
-        sign(sum(weight * target for weight, target in zip(y, b) if weight)) > 0
+    if any(sign(total) > 0 for total in totals):
+        return False
+    total = 0
+    for weight, target in zip(y, b):
+        if weight:
+            total = total + weight * target
+    return sign(total) > 0

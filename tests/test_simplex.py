@@ -370,8 +370,13 @@ def column_sums(A, y):
             for j in range(len(A[0]))]
 
 
+# the second bump is below the float tolerance: only an exact audit sees it
+BUMPS = [Fraction(1, 64), Fraction(1, 10**12)]
+
+
 class TestCertificatePerturbation:
-    def test_one_entry_perturbation_fails_audit(self):
+    @pytest.mark.parametrize("bump", BUMPS)
+    def test_one_entry_perturbation_fails_audit(self, bump):
         # canonical correlation problem: 37 x 64, entries 0/1, sqrt2 in b
         from bellgate.feasibility import build_prop2
         from bellgate.qubit import canonical_scenario
@@ -386,14 +391,15 @@ class TestCertificatePerturbation:
                      if total == 0 and A[i][j]]
             if not tight:
                 continue
-            # raising y_i by A_ij / 64 lifts column j's sum above zero
+            # raising y_i by A_ij * bump lifts column j's sum above zero
             bumped = list(y)
-            bumped[i] = y[i] + A[i][tight[0]] * Fraction(1, 64)
+            bumped[i] = y[i] + A[i][tight[0]] * bump
             assert not verify_certificate(A, b, FarkasCertificate(y=tuple(bumped)))
             tried += 1
         assert tried > len(y) // 2
 
-    def test_perturbed_random_certificates_fail_audit(self):
+    @pytest.mark.parametrize("bump", BUMPS)
+    def test_perturbed_random_certificates_fail_audit(self, bump):
         rng = random.Random(20261025)
         tried = 0
         for _ in range(120):
@@ -407,7 +413,7 @@ class TestCertificatePerturbation:
                 i = next((i for i in range(len(y)) if rows[i][j]), None)
                 if total == 0 and i is not None:
                     bumped = list(y)
-                    bumped[i] = y[i] + rows[i][j] * Fraction(1, 7)
+                    bumped[i] = y[i] + rows[i][j] * bump
                     assert not verify_certificate(
                         A, b, FarkasCertificate(y=tuple(bumped)))
                     tried += 1
