@@ -60,6 +60,8 @@ SCHEMA = "bellgate/1"
 CSV_SCHEMA = "schema_v1"
 DEFAULT_EXACT_ANGLES = "0,2,4"
 DEFAULT_FLOAT_ANGLES = "0,0.7853981633974483,1.5707963267948966"
+#: check-prop1/2 limits: exact m=6 check-prop2 takes ~4 s, float m=7 ~2 s
+MAX_SETTINGS = {"exact": 6, "float": 7}
 
 
 class UsageError(Exception):
@@ -75,7 +77,7 @@ def _default_mode() -> str:
 
 
 def _resolve_mode(args) -> str:
-    return args.mode if args.mode else _default_mode()
+    return args.mode or _default_mode()
 
 
 def _parse_angles(text: str, mode: str) -> List[PlanarAngle]:
@@ -143,71 +145,65 @@ def _emit_json(report: dict, out: Optional[str]):
     _emit(json.dumps(report, indent=2) + "\n", out)
 
 
-def cmd_check_prop1(args) -> int:
+def _check(args, command: str, build, extend) -> int:
+    """Solve and report a check command; extend adds the command's keys."""
     mode = _resolve_mode(args)
     scenario = _scenario_from_args(args, mode)
+    m, limit = len(scenario.measurements), MAX_SETTINGS[mode]
+    if m > limit:
+        raise UsageError(f"{mode} mode takes at most {limit} settings, not "
+                         f"{m} (4^{m} = {4 ** m} strategy columns)")
     started = time.perf_counter()
-    problem = build_prop1(
-        scenario, include_decomposition_equality=not args.no_equality)
+    problem = build(scenario)
     result = solve_problem(problem)
     elapsed = time.perf_counter() - started
     report = {
         "schema": SCHEMA,
-        "command": "check-prop1",
+        "command": command,
         "mode": mode,
         "scenario": scenario_to_json(scenario),
         "problem": {
             "rows": len(problem.matrix),
             "columns": len(problem.column_labels),
-            "decomposition_equality": not args.no_equality,
         },
         "result": _result_json(problem, result),
     }
+    extend(report, scenario, problem, result)
     if args.with_timings:
         report["timings"] = {"solve_seconds": elapsed}
     _emit_json(report, args.out)
     return 0
+
+
+def cmd_check_prop1(args) -> int:
+    equality = not args.no_equality
+
+    def extend(report, scenario, problem, result):
+        report["problem"]["decomposition_equality"] = equality
+
+    return _check(args, "check-prop1", lambda scenario: build_prop1(
+        scenario, include_decomposition_equality=equality), extend)
 
 
 def cmd_check_prop2(args) -> int:
-    mode = _resolve_mode(args)
-    scenario = _scenario_from_args(args, mode)
-    started = time.perf_counter()
-    problem = build_prop2(scenario)
-    result = solve_problem(problem)
-    elapsed = time.perf_counter() - started
-    if len(scenario.measurements) >= 3:
-        wigner = {
-            convention: scalar_to_json(
-                wigner_inequality_value(scenario, convention))
-            for convention in ("strict01", "differ")}
-    else:
-        wigner = None
-    inequality = None
-    if not result.feasible:
-        extracted = extract_inequality(result.certificate, problem)
-        inequality = extracted.to_json()
-        inequality["quantum_value"] = scalar_to_json(
-            extracted.quantum_value(scenario))
-        inequality["quantum_margin"] = scalar_to_json(
-            extracted.quantum_margin(scenario))
-    report = {
-        "schema": SCHEMA,
-        "command": "check-prop2",
-        "mode": mode,
-        "scenario": scenario_to_json(scenario),
-        "problem": {
-            "rows": len(problem.matrix),
-            "columns": len(problem.column_labels),
-        },
-        "result": _result_json(problem, result),
-        "wigner": wigner,
-        "inequality": inequality,
-    }
-    if args.with_timings:
-        report["timings"] = {"solve_seconds": elapsed}
-    _emit_json(report, args.out)
-    return 0
+    def extend(report, scenario, problem, result):
+        wigner = inequality = None
+        if len(scenario.measurements) >= 3:
+            wigner = {
+                convention: scalar_to_json(
+                    wigner_inequality_value(scenario, convention))
+                for convention in ("strict01", "differ")}
+        if not result.feasible:
+            extracted = extract_inequality(result.certificate, problem)
+            inequality = extracted.to_json()
+            inequality["quantum_value"] = scalar_to_json(
+                extracted.quantum_value(scenario))
+            inequality["quantum_margin"] = scalar_to_json(
+                extracted.quantum_margin(scenario))
+        report["wigner"] = wigner
+        report["inequality"] = inequality
+
+    return _check(args, "check-prop2", build_prop2, extend)
 
 
 def cmd_scan(args) -> int:
@@ -243,6 +239,13 @@ def _load_json(path: str) -> dict:
         raise UsageError(f"{path} is not valid JSON: {exc}")
 
 
+def _parse_model(args, blob: dict, parse, what: str = ""):
+    try:
+        return parse(blob)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise UsageError(f"{args.model}: {what}{exc}")
+
+
 def _parse_condition(text: str):
     pieces = text.split(":")
     if len(pieces) != 3:
@@ -260,11 +263,8 @@ def cmd_transform(args) -> int:
     blob = _load_json(args.model)
     if args.direction == "forward":
         scenario = _scenario_from_args(args, mode)
-        try:
-            model = model_from_json(blob)
-        except (ValueError, KeyError, TypeError) as exc:
-            raise UsageError(
-                f"{args.model}: not an ontological model: {exc}")
+        model = _parse_model(args, blob, model_from_json,
+                             "not an ontological model: ")
         try:
             lhv = forward_charlie(model, scenario)
         except PremiseViolated as exc:
@@ -277,11 +277,8 @@ def cmd_transform(args) -> int:
     if not args.condition:
         raise UsageError("reverse transform needs --condition SIDE:MEAS:BIT")
     side, measurement, bit = _parse_condition(args.condition)
-    try:
-        lhv = lhv_from_json(blob)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise UsageError(
-            f"{args.model}: not a local-hidden-variable model: {exc}")
+    lhv = _parse_model(args, blob, lhv_from_json,
+                       "not a local-hidden-variable model: ")
     try:
         model = reverse_group(lhv, side, measurement, bit)
     except ZeroProbabilityCondition as exc:
@@ -295,10 +292,7 @@ def cmd_validate_model(args) -> int:
     mode = _resolve_mode(args)
     blob = _load_json(args.model)
     if "epistemics" in blob:
-        try:
-            model = model_from_json(blob)
-        except (ValueError, KeyError, TypeError) as exc:
-            raise UsageError(f"{args.model}: {exc}")
+        model = _parse_model(args, blob, model_from_json)
         scenario = _scenario_from_args(args, mode)
         outcome = validate(model, scenario)
         report = {
@@ -314,10 +308,7 @@ def cmd_validate_model(args) -> int:
             "report": outcome.to_json(),
         }
     elif "weights" in blob:
-        try:
-            lhv = lhv_from_json(blob)
-        except (ValueError, KeyError, TypeError) as exc:
-            raise UsageError(f"{args.model}: {exc}")
+        lhv = _parse_model(args, blob, lhv_from_json)
         independence = decomposition_independence_check(lhv)
         report = {
             "schema": SCHEMA,

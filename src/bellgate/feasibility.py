@@ -35,6 +35,8 @@ from .qubit import (
     born_probability,
 )
 from .scalar import (
+    ONE,
+    ZERO,
     ExactScalar,
     MixedBackendError,
     Scalar,
@@ -77,11 +79,7 @@ def _target_exact(scenario: Scenario, mode: Optional[str]) -> bool:
 
 
 def _field(exact: bool) -> Tuple[Scalar, Scalar, Scalar]:
-    if exact:
-        return (ExactScalar(Fraction(0), Fraction(0)),
-                ExactScalar(Fraction(1, 2), Fraction(0)),
-                ExactScalar(Fraction(1), Fraction(0)))
-    return 0.0, 0.5, 1.0
+    return (ZERO, ONE / 2, ONE) if exact else (0.0, 0.5, 1.0)
 
 
 def _emit(value: Scalar, exact: bool) -> Scalar:
@@ -166,8 +164,7 @@ class LPProblem:
 def row_name(label: Tuple) -> str:
     if label == ("normalization",):
         return "normalization"
-    kind, rest = label[0], label[1:]
-    return f"{kind}({','.join(str(part) for part in rest)})"
+    return column_name(label)
 
 
 def column_name(label: Tuple) -> str:
@@ -280,17 +277,9 @@ def solve_problem(problem: LPProblem) -> LPResult:
     return solve_feasibility(problem.matrix, problem.rhs)
 
 
-def check_prop1(scenario: Scenario,
-                include_decomposition_equality: bool = True,
-                deterministic_cells: bool = True,
-                equality_pairs: Optional[Sequence[Tuple[int, int]]] = None,
-                mode: Optional[str] = None) -> LPResult:
-    return solve_problem(build_prop1(
-        scenario,
-        include_decomposition_equality=include_decomposition_equality,
-        deterministic_cells=deterministic_cells,
-        equality_pairs=equality_pairs,
-        mode=mode))
+def check_prop1(scenario: Scenario, **options) -> LPResult:
+    """Solve build_prop1(scenario, **options)."""
+    return solve_problem(build_prop1(scenario, **options))
 
 
 def check_prop2(scenario: Scenario, mode: Optional[str] = None) -> LPResult:
@@ -358,16 +347,28 @@ class BellInequality:
         return total
 
     def max_strategy_value(self) -> Tuple[Scalar, Strategy]:
-        best = None
-        best_strategy = None
-        for strategy in all_strategies(len(self.settings)):
-            value = self.strategy_value(strategy)
-            if best is None or compare(value, best) > 0:
-                best = value
-                best_strategy = strategy
-        if best is None:
+        """Best response: Bob answers each of Alice's 2^m strings setting
+        by setting (ties to 0), so all_strategies' first maximum wins."""
+        m = len(self.settings)
+        if not m:
             raise TooFewMeasurements("no settings to enumerate")
-        return best, best_strategy
+        place = {label: i for i, label in enumerate(self.settings)}
+        zero = self.bound - self.bound
+        best = None
+        for abits in itertools.product((0, 1), repeat=m):
+            # gains[j][b]: what Bob's outcome b at setting j adds
+            gains = [[zero, zero] for _ in range(m)]
+            for (ma, mb, a, b), coeff in self.coefficients:
+                if abits[place[ma]] == a:
+                    pair = gains[place[mb]]
+                    pair[b] = pair[b] + coeff
+            bbits = tuple(int(compare(high, low) > 0) for low, high in gains)
+            value = zero
+            for pair, bit in zip(gains, bbits):
+                value = value + pair[bit]
+            if best is None or compare(value, best[0]) > 0:
+                best = value, (abits, bbits)
+        return best
 
     def satisfied_by_all_strategies(self) -> bool:
         best, _ = self.max_strategy_value()
@@ -463,21 +464,13 @@ def completed_wigner_certificate(problem: LPProblem,
     m1, m2, m3 = problem.settings[:3]
     exact = problem.exact
     zero, _, one = _field(exact)
-    weights: Dict[Tuple[str, str, int, int], Scalar] = {
-        (m1, m3, 0, 1): one,
-        (m1, m2, 0, 1): -one,
-        (m2, m3, 0, 1): -one,
-        (m2, m2, 1, 0): -one,
-    }
-    if convention == "differ":
-        weights.update({
-            (m1, m3, 1, 0): one,
-            (m1, m2, 1, 0): -one,
-            (m2, m3, 1, 0): -one,
-            (m2, m2, 0, 1): -one,
-        })
-    elif convention != "strict01":
+    if convention not in ("strict01", "differ"):
         raise ValueError(f"unknown convention {convention!r}")
+    weights: Dict[Tuple[str, str, int, int], Scalar] = {}
+    pairs = [(0, 1)] if convention == "strict01" else [(0, 1), (1, 0)]
+    for a, b in pairs:
+        weights.update({(m1, m3, a, b): one, (m1, m2, a, b): -one,
+                        (m2, m3, a, b): -one, (m2, m2, b, a): -one})
     y = []
     for label in problem.row_labels:
         if label[0] == "joint" and label[1:] in weights:

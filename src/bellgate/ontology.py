@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
-from .qubit import Scenario, born_probability
+from .qubit import Scenario, _check_outcome, born_probability
 from .scalar import (
     Scalar,
     ensure_same_backend,
@@ -35,11 +35,6 @@ class UnknownMeasurement(KeyError):
 
 class UnknownSetting(KeyError):
     """The LHV model has no measurement setting under that label."""
-
-
-def _check_outcome(outcome: int):
-    if outcome not in (0, 1):
-        raise ValueError(f"outcome must be 0 or 1, got {outcome!r}")
 
 
 def _check_distribution(values: Sequence[Scalar], what: str):

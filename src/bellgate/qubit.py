@@ -67,10 +67,6 @@ class PlanarAngle:
         self._check_backend(other)
         return PlanarAngle(self.value - other.value, exact=self.exact)
 
-    def __add__(self, other: PlanarAngle) -> PlanarAngle:
-        self._check_backend(other)
-        return PlanarAngle(self.value + other.value, exact=self.exact)
-
     def antipode(self) -> PlanarAngle:
         if self.exact:
             return PlanarAngle(self.value + 4, exact=True)
@@ -178,6 +174,13 @@ def _unique(label: str, used: set) -> str:
     return candidate
 
 
+def _labeled(items, label: str, kind: str):
+    for item in items:
+        if item.label == label:
+            return item
+    raise KeyError(f"no {kind} labeled {label!r}")
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One party's measurement/state family for the hidden-variable question.
@@ -196,12 +199,11 @@ class Scenario:
         exact |= {s.angle.exact for s in self.states}
         if len(exact) > 1:
             raise MixedBackendError("scenario mixes exact and float angles")
-        labels = [m.label for m in self.measurements]
-        if len(set(labels)) != len(labels):
-            raise ValueError("measurement labels must be unique")
-        labels = [s.label for s in self.states]
-        if len(set(labels)) != len(labels):
-            raise ValueError("state labels must be unique")
+        for kind, items in (("measurement", self.measurements),
+                            ("state", self.states)):
+            labels = [item.label for item in items]
+            if len(set(labels)) != len(labels):
+                raise ValueError(f"{kind} labels must be unique")
         for i, j in self.decompositions:
             gap = self.states[i].angle - self.states[j].angle
             if gap.exact:
@@ -222,16 +224,10 @@ class Scenario:
         return "exact" if self.exact else "float"
 
     def measurement(self, label: str) -> PlanarMeasurement:
-        for m in self.measurements:
-            if m.label == label:
-                return m
-        raise KeyError(f"no measurement labeled {label!r}")
+        return _labeled(self.measurements, label, "measurement")
 
     def state(self, label: str) -> PlanarState:
-        for s in self.states:
-            if s.label == label:
-                return s
-        raise KeyError(f"no state labeled {label!r}")
+        return _labeled(self.states, label, "state")
 
     def decomposition_states(self, index: int) -> Tuple[PlanarState, PlanarState]:
         i, j = self.decompositions[index]
@@ -298,10 +294,6 @@ def wigner_inequality_value(scenario: Scenario, convention: str = "strict01") ->
     return term(m1, m2) + term(m2, m3) - term(m1, m3)
 
 
-def _angle_to_json(angle: PlanarAngle):
-    return angle.value
-
-
 def _angle_from_json(value, mode: str) -> PlanarAngle:
     if mode == "exact":
         if isinstance(value, bool) or not isinstance(value, int):
@@ -314,9 +306,9 @@ def _angle_from_json(value, mode: str) -> PlanarAngle:
 def scenario_to_json(scenario: Scenario) -> dict:
     return {
         "mode": scenario.mode,
-        "measurements": [{"label": m.label, "angle": _angle_to_json(m.angle)}
+        "measurements": [{"label": m.label, "angle": m.angle.value}
                          for m in scenario.measurements],
-        "states": [{"label": s.label, "angle": _angle_to_json(s.angle)}
+        "states": [{"label": s.label, "angle": s.angle.value}
                    for s in scenario.states],
         "decompositions": [list(pair) for pair in scenario.decompositions],
     }

@@ -28,9 +28,7 @@ class MixedBackendError(TypeError):
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, (int, str)):
         return Fraction(value)
     raise TypeError(f"cannot build an exact rational from {value!r}")
 
@@ -129,22 +127,7 @@ class ExactScalar:
         return other * self.inverse()
 
     def sign(self) -> int:
-        """Exact sign of a + b*sqrt(2), decided symbolically.
-
-        Same-sign components settle it directly; opposite signs reduce to
-        comparing a^2 against 2*b^2 (a^2 = 2*b^2 with both nonzero would make
-        sqrt(2) rational, so it cannot occur).
-        """
-        sa = (self.a > 0) - (self.a < 0)
-        sb = (self.b > 0) - (self.b < 0)
-        if sb == 0:
-            return sa
-        if sa == 0:
-            return sb
-        if sa == sb:
-            return sa
-        gap = self.a * self.a - 2 * self.b * self.b
-        return sa if gap > 0 else sb
+        return pair_sign(self.a, self.b)
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
@@ -197,6 +180,22 @@ class ExactScalar:
         return f"ExactScalar({self.a!r}, {self.b!r})"
 
 
+def pair_sign(a, b) -> int:
+    """Exact sign of a + b*sqrt(2) for rational (int or Fraction) a, b.
+
+    Same-sign components settle it directly; opposite signs reduce to
+    comparing a^2 against 2*b^2 (a^2 = 2*b^2 with both nonzero would make
+    sqrt(2) rational, so it cannot occur).
+    """
+    sa = (a > 0) - (a < 0)
+    sb = (b > 0) - (b < 0)
+    if sb == 0 or sa == sb:
+        return sa
+    if sa == 0:
+        return sb
+    return sa if a * a > 2 * b * b else sb
+
+
 ZERO = ExactScalar(Fraction(0), Fraction(0))
 ONE = ExactScalar(Fraction(1), Fraction(0))
 SQRT2 = ExactScalar(Fraction(0), Fraction(1))
@@ -234,9 +233,7 @@ def is_zero(x: Scalar, tolerance: float = FLOAT_TOLERANCE) -> bool:
 
 def compare(x: Scalar, y: Scalar, tolerance: float = FLOAT_TOLERANCE) -> int:
     """Sign of x - y on a shared backend (-1 less, 0 equal, +1 greater)."""
-    exact = ensure_same_backend(x, y)
-    if exact:
-        return (x - y).sign()
+    ensure_same_backend(x, y)
     return sign(x - y, tolerance)
 
 

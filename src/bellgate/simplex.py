@@ -17,8 +17,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Tuple
 
-from .scalar import (ONE, ZERO, ExactScalar, MixedBackendError, Scalar, sign,
-                     zero_like)
+from .scalar import (ONE, ZERO, ExactScalar, MixedBackendError, Scalar,
+                     pair_sign, sign)
 
 #: Pivot-count ceiling; Bland's rule terminates long before this on any
 #: problem this library builds, so hitting it means a broken invariant.
@@ -71,7 +71,8 @@ def _normalize(A: Sequence[Sequence[Scalar]], b: Sequence[Scalar]):
     """Copy inputs, coerce int/Fraction entries, and pick one backend.
 
     The backend is float when any entry is a float, exact otherwise; mixing
-    floats with ExactScalars raises.  Returns (rows, rhs, backend zero).
+    floats with ExactScalars raises.  Returns (rows, rhs, backend zero,
+    column count).
     """
     if len(A) != len(b):
         raise DimensionMismatch(
@@ -90,26 +91,30 @@ def _normalize(A: Sequence[Sequence[Scalar]], b: Sequence[Scalar]):
             return float(v) if has_float else ExactScalar.from_rational(v)
         raise TypeError(f"unsupported matrix entry {v!r}")
 
-    return ([[coerce(v) for v in row] for row in A], [coerce(v) for v in b],
-            0.0 if has_float else ZERO)
+    rows = [[coerce(v) for v in row] for row in A]
+    return (rows, [coerce(v) for v in b], 0.0 if has_float else ZERO,
+            len(rows[0]) if rows else 0)
 
 
 class Tableau:
     """Simplex tableau: constraint rows with rhs, a reduced-cost row, a basis.
 
-    rows[i] has one entry per structural column plus the rhs in the last
-    slot.  The objective row stores reduced costs c_j - z_j with -c.x in
-    its rhs slot, so a pivot updates it like any other row.  Non-rhs slots
-    are stored times `scale` > 0, the last exact pivot (Bareiss 1968).
+    rows[i] has one entry per structural column plus the rhs.  The objective
+    row stores reduced costs c_j - z_j with -c.x as its rhs, so a pivot
+    updates it like any other row.  Int cells (rational A) keep a rhs
+    r + s*sqrt2 as two int columns r*d, s*d (`split`).  Cells are stored
+    times `scale` > 0, the last exact pivot (Bareiss 1968).
     """
 
-    def __init__(self, rows, basis, cost, scale):
-        # cost has a zero for the rhs slot
+    def __init__(self, rows, basis, cost, scale, d=1):
         self.rows = rows
         self.basis = basis
         self.scale = scale
+        self.d = d
+        self.split = type(scale) is int
         self.pivots = 0
         self.objective = out = [scale * c for c in cost]
+        out += [scale * 0] * (1 + self.split)
         for i, row in enumerate(rows):
             weight = cost[basis[i]]
             if sign(weight) != 0:
@@ -132,30 +137,22 @@ class Tableau:
             head = -head
             pivot_row = rows[row_index] = [-v for v in pivot_row]
         unit = head == scale == 1
-        # at unit scale the rhs slot is eliminated like the body cells
-        body = pivot_row if unit else pivot_row[:-1]
-        rhs = pivot_row[-1]
         # only touched cells: zero entries of the pivot row change nothing
-        live = [j for j, v in enumerate(body) if v]
+        live = [j for j, v in enumerate(pivot_row) if v]
         for target in rows + [self.objective]:
             factor = target[col]
             if target is pivot_row or not factor and head == scale:
                 continue
             if unit:
                 for j in live:
-                    target[j] = target[j] - factor * body[j]
-                continue
-            if head == scale:
+                    target[j] = target[j] - factor * pivot_row[j]
+            elif head == scale:
                 for j in live:
-                    target[j] = target[j] - factor * body[j] // scale
+                    target[j] = target[j] - factor * pivot_row[j] // scale
             else:
                 # Bareiss: (head * v - factor * w) / scale divides exactly
-                target[:-1] = [(head * v - factor * w) // scale if v or w
-                               else v for v, w in zip(target, body)]
-            if factor and rhs:
-                target[-1] = target[-1] - rhs * factor / head
-        if rhs and not unit:
-            pivot_row[-1] = rhs * scale / head
+                target[:] = [(head * v - factor * w) // scale if v or w
+                             else v for v, w in zip(target, pivot_row)]
         self.scale = head
         self.basis[row_index] = col
         self.pivots += 1
@@ -173,19 +170,26 @@ class Tableau:
             if entering is None:
                 return
             leaving = None
-            best_ratio = None
+            best_ratio = ratio = None
             for i, row in enumerate(self.rows):
                 coeff = row[entering]
                 if sign(coeff) <= 0:
                     continue
-                # the common scale in coeff leaves the order of ratios alone
-                ratio = row[-1]
-                if ratio:
-                    ratio = ratio / coeff
-                # two zero ratios tie without a Q(sqrt2) subtraction
-                if best_ratio is None:
+                if not self.split:
+                    # the common scale in coeff leaves the order alone
+                    ratio = row[-1]
+                    if ratio:
+                        ratio = ratio / coeff
+                if leaving is None:
                     gap = -1
+                elif self.split:
+                    # x_i / c_i against x_k / c_k as x_i c_k - x_k c_i, in ints
+                    best = self.rows[leaving]
+                    c = best[entering]
+                    gap = pair_sign(row[-2] * c - best[-2] * coeff,
+                                    row[-1] * c - best[-1] * coeff)
                 elif ratio or best_ratio:
+                    # two zero ratios tie without a Q(sqrt2) subtraction
                     gap = sign(ratio - best_ratio)
                 else:
                     gap = 0
@@ -199,10 +203,14 @@ class Tableau:
             self.pivot(leaving, entering)
 
     def solution(self, ncols: int) -> Tuple[Scalar, ...]:
-        x = [zero_like(self.objective[-1])] * ncols
+        x = [ZERO if self.split else self.scale * 0] * ncols
+        q = self.scale * self.d
         for i, col in enumerate(self.basis):
             if col < ncols:
-                x[col] = self.rows[i][-1]
+                row = self.rows[i]
+                x[col] = (ExactScalar(Fraction(row[-2], q),
+                                      Fraction(row[-1], q))
+                          if self.split else row[-1])
         return tuple(x)
 
 
@@ -210,13 +218,16 @@ def _phase_one(rows, rhs, cost, zero, A, b):
     """Solve Phase I on [A | I | b], rows with b_i < 0 negated.  Returns the
     tableau, the cost in its cells and the audited certificate or None.
 
-    Over Q, cells start at [A | I] and c times S = prod s_i, s_i a multiple
-    of row i's (or c's) denominators: a Bareiss cell is S times a minor over
-    some of those rows, so it stays an integer.  sqrt2 in A or c keeps
-    ExactScalar cells.
+    Over Q, cells start at [A | I | d b_rat | d b_sqrt2] and c times
+    S = prod s_i, s_i a multiple of row i's (or c's) denominators, and d
+    clears the rhs denominators: a Bareiss cell is S times a minor of that
+    integer matrix.  sqrt2 in A or c keeps ExactScalar cells.
     """
     m, n = len(rows), len(cost)
     flips = [sign(v) < 0 for v in rhs]
+    rhs = [-v if flip else v for v, flip in zip(rhs, flips)]
+    tails = [[v] for v in rhs]
+    d = 1
     if isinstance(zero, float):
         scale = 1.0
     elif any(v.b for row in rows + [cost] for v in row):
@@ -229,18 +240,23 @@ def _phase_one(rows, rhs, cost, zero, A, b):
         rows = [[v.a.numerator * (scale // v.a.denominator) for v in row]
                 for row in rows + [cost]]
         cost = rows.pop()
+        for q in {q for v in rhs for q in (v.a.denominator, v.b.denominator)}:
+            d *= q
+        q = scale * d
+        tails = [[int(v.a * q), int(v.b * q)] for v in rhs]
     body = []
     for i, row in enumerate(rows):
         if flips[i]:
             row = [-v for v in row]
-        row = row + [scale * 0] * m + [-rhs[i] if flips[i] else rhs[i]]
+        row = row + [scale * 0] * m + tails[i]
         row[n + i] = scale
         body.append(row)
-    tableau = Tableau(body, [n + i for i in range(m)],
-                      [0] * n + [1] * m + [zero], scale)
+    tableau = Tableau(body, [n + i for i in range(m)], [0] * n + [1] * m,
+                      scale, d)
     tableau.run(range(n + m))
     objective = tableau.objective
-    if sign(objective[-1]) == 0:
+    if (not (objective[-2] or objective[-1]) if tableau.split
+            else sign(objective[-1]) == 0):
         return tableau, cost, None
     # y_i = 1 - (reduced cost of artificial i), negated on flipped rows
     scale = tableau.scale
@@ -262,8 +278,7 @@ def solve_feasibility(A: Sequence[Sequence[Scalar]],
     a Farkas certificate read off the final Phase-I reduced costs.  Both are
     re-verified here before being returned.
     """
-    rows, rhs, zero = _normalize(A, b)
-    n = len(rows[0]) if rows else 0
+    rows, rhs, zero, n = _normalize(A, b)
     tableau, _, certificate = _phase_one(rows, rhs, [zero] * n, zero, A, b)
     if certificate:
         return LPResult(status="infeasible", certificate=certificate)
@@ -281,12 +296,11 @@ def solve_min(c: Sequence[Scalar], A: Sequence[Sequence[Scalar]],
     the region is empty; raises Unbounded when the objective has no minimum.
     Returns the exact optimal value and an optimal vertex.
     """
-    rows, rhs, zero = _normalize(A, b)
-    n = len(rows[0]) if rows else 0
+    rows, rhs, zero, n = _normalize(A, b)
     if len(c) != n:
         raise DimensionMismatch(f"cost has {len(c)} entries for {n} columns")
     # a cost of the other backend makes this raise MixedBackendError
-    (cost,), _, _ = _normalize([list(c)], [zero])
+    (cost,), _, _, _ = _normalize([list(c)], [zero])
     tableau, cells, certificate = _phase_one(rows, rhs, cost, zero, A, b)
     if certificate:
         raise InfeasibleProblem(certificate)
@@ -307,9 +321,9 @@ def solve_min(c: Sequence[Scalar], A: Sequence[Sequence[Scalar]],
         del tableau.rows[i]
         del tableau.basis[i]
 
-    body = [row[:n] + [row[-1]] for row in tableau.rows]
-    phase_two = Tableau(body, list(tableau.basis), cells + [zero],
-                        tableau.scale)
+    body = [row[:n] + row[n + len(rows):] for row in tableau.rows]
+    phase_two = Tableau(body, list(tableau.basis), cells, tableau.scale,
+                        tableau.d)
     phase_two.run(range(n))
     x = phase_two.solution(n)
     if not verify_solution(A, b, x):

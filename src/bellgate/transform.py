@@ -46,6 +46,11 @@ class ZeroProbabilityCondition(ValueError):
     """Conditioning event has probability zero."""
 
 
+def _add(table: dict, key, value: Scalar):
+    """table[key] += value, where a missing key counts as zero."""
+    table[key] = table[key] + value if key in table else value
+
+
 def _deterministic_bit(responses: ResponseFunctions, measurement: str,
                        cell: str) -> int:
     return 1 if sign(responses.outcome_probability(measurement, cell, 1)) > 0 \
@@ -85,11 +90,7 @@ def forward_charlie(model: OntologicalModel,
             continue
         bits = tuple(_deterministic_bit(refined.responses, setting, cell)
                      for setting in settings)
-        strategy = (bits, bits)
-        if strategy in weights:
-            weights[strategy] = weights[strategy] + weight
-        else:
-            weights[strategy] = weight
+        _add(weights, (bits, bits), weight)
     return LocalHVModel(settings=settings, weights=weights)
 
 
@@ -200,11 +201,7 @@ def decomposition_independence_check(
                 label = f"{side}:{setting}={outcome}"
                 epistemic = conditioned.epistemic(label)
                 for cell, weight in epistemic.weights.items():
-                    share = total * weight
-                    if cell in rebuilt:
-                        rebuilt[cell] = rebuilt[cell] + share
-                    else:
-                        rebuilt[cell] = share
+                    _add(rebuilt, cell, total * weight)
             for strategy, weight in lhv.weights.items():
                 key = strategy_key(strategy)
                 rebuilt_weight = rebuilt.get(key, zero_like(weight))
@@ -238,11 +235,7 @@ def merge_indistinguishable_cells(model: OntologicalModel) -> OntologicalModel:
     for label, state in model.epistemics.items():
         pooled: Dict[str, Scalar] = {}
         for cell, weight in state.weights.items():
-            target = representative[signature_of[cell]]
-            if target in pooled:
-                pooled[target] = pooled[target] + weight
-            else:
-                pooled[target] = weight
+            _add(pooled, representative[signature_of[cell]], weight)
         epistemics[label] = EpistemicState(weights=pooled)
     responses = {
         m: {cell: (model.responses.outcome_probability(m, cell, 0),

@@ -5,10 +5,13 @@ import math
 
 import pytest
 
+from bellgate import cli
 from bellgate.cli import main
 from fixtures import load_bundled, product_model
+from bellgate.feasibility import LPProblem
 from bellgate.ontology import model_to_json
 from bellgate.qubit import canonical_scenario
+from bellgate.scalar import ExactScalar
 
 
 @pytest.fixture(autouse=True)
@@ -345,3 +348,61 @@ class TestUsage:
             "0,1.5707963267948966"])
         # two orthogonal settings: Fine-style feasible
         assert report["result"]["status"] == "feasible"
+
+
+EXACT_ANGLES = ",".join(str(2 * k) for k in range(7))        # pi/8 steps
+FLOAT_ANGLES = ",".join(str(0.2 * k) for k in range(8))      # radians
+
+
+class TestSizeGuard:
+    """check-prop1/2 refuse more settings than MAX_SETTINGS, with exit 2."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Replace the LP builders by a one-cell problem; record m."""
+        seen = []
+
+        def build(scenario, **options):
+            seen.append(len(scenario.measurements))
+            one = ExactScalar.from_rational(1) if scenario.exact else 1.0
+            return LPProblem(matrix=((one,),), rhs=(one,),
+                             column_labels=(("p", "x"),),
+                             row_labels=(("normalization",),), settings=())
+
+        monkeypatch.setattr(cli, "build_prop1", build)
+        monkeypatch.setattr(cli, "build_prop2", build)
+        return seen
+
+    def test_limits(self):
+        assert cli.MAX_SETTINGS == {"exact": 6, "float": 7}
+
+    @pytest.mark.parametrize("command", ["check-prop1", "check-prop2"])
+    @pytest.mark.parametrize("mode, angles, limit", [
+        ("exact", EXACT_ANGLES, 6), ("float", FLOAT_ANGLES, 7)])
+    def test_limit_accepted(self, capsys, built, command, mode, angles,
+                            limit):
+        angles = ",".join(angles.split(",")[:limit])
+        report = run_json(capsys, [command, "--mode", mode,
+                                   "--angles", angles])
+        assert built == [limit]
+        assert len(report["scenario"]["measurements"]) == limit
+
+    @pytest.mark.parametrize("command", ["check-prop1", "check-prop2"])
+    @pytest.mark.parametrize("mode, angles, limit", [
+        ("exact", EXACT_ANGLES, 6), ("float", FLOAT_ANGLES, 7)])
+    def test_limit_plus_one_refused(self, capsys, built, command, mode,
+                                    angles, limit):
+        code, out, err = run(capsys, [command, "--mode", mode,
+                                      "--angles", angles])
+        assert code == 2
+        assert out == ""
+        assert built == []
+        m = limit + 1
+        assert f"at most {limit} settings, not {m}" in err
+        assert f"4^{m} = {4 ** m} strategy columns" in err
+
+    def test_exact_limit_solves(self, capsys):
+        report = run_json(capsys, ["check-prop1", "--angles",
+                                   ",".join(EXACT_ANGLES.split(",")[:6])])
+        assert report["problem"]["rows"] == 476
+        assert report["result"]["status"] == "infeasible"

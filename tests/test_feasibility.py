@@ -1,5 +1,6 @@
 """Tests for the decomposition and correlation LP layer."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -39,8 +40,9 @@ from bellgate.qubit import (
     canonical_scenario,
     wigner_inequality_value,
 )
-from bellgate.scalar import ExactScalar, sign, to_float
-from bellgate.simplex import FarkasCertificate, verify_certificate, verify_solution
+from bellgate.scalar import ExactScalar, compare, sign, to_float
+from bellgate.simplex import (FarkasCertificate, Tableau, verify_certificate,
+                              verify_solution)
 
 from oracles import exact_lp_feasible
 
@@ -463,3 +465,112 @@ class TestSolutionModel:
         with pytest.raises(ValueError):
             solution_model(problem, tuple(ex(0)
                                           for _ in problem.column_labels))
+
+
+def enumerated_max(inequality):
+    """Reference for max_strategy_value: all 4^m strategy pairs, first
+    maximum in all_strategies order."""
+    best = None
+    for strategy in all_strategies(len(inequality.settings)):
+        value = inequality.strategy_value(strategy)
+        if best is None or compare(value, best[0]) > 0:
+            best = value, strategy
+    return best
+
+
+def random_inequality(rng, m, terms, exact):
+    """Small-integer coefficients (many ties) on random (Ma, Mb, a, b)."""
+    settings = tuple(f"M{i}" for i in range(m))
+    keys = {(rng.choice(settings), rng.choice(settings), rng.randint(0, 1),
+             rng.randint(0, 1)) for _ in range(terms)}
+    coefficients = []
+    for key in sorted(keys):
+        k = rng.randint(-3, 3)
+        coefficients.append((key, ex(k) if exact else float(k)))
+    zero = ex(0) if exact else 0.0
+    return BellInequality(coefficients=tuple(coefficients), bound=zero,
+                          settings=settings, provenance=())
+
+
+class TestBestResponse:
+    """max_strategy_value (best response) against full enumeration."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_random_tables_match_enumeration(self, m, exact):
+        rng = random.Random(f"best-response/{m}/{exact}")
+        for _ in range(4 if m < 6 else 1):
+            inequality = random_inequality(rng, m, 3 * m, exact)
+            best, strategy = inequality.max_strategy_value()
+            reference, first = enumerated_max(inequality)
+            assert compare(best, reference) == 0
+            assert compare(inequality.strategy_value(strategy), best) == 0
+            if exact:
+                assert strategy == first
+
+    @pytest.mark.parametrize("turns, mode", [
+        ((0, 1, 2), None), ((0, 1, 2, 3), None), ((0, 1, 2, 3, 4), None),
+        ((0, 1, 2, 3, 4), "float")])
+    def test_extracted_inequalities_match_enumeration(self, turns, mode):
+        problem = build_prop2(build_scenario([eighth(k) for k in turns]),
+                              mode=mode)
+        result = solve_problem(problem)
+        inequality = extract_inequality(result.certificate, problem)
+        best, strategy = inequality.max_strategy_value()
+        reference, _ = enumerated_max(inequality)
+        assert compare(best, reference) == 0
+        assert compare(inequality.strategy_value(strategy), best) == 0
+        assert compare(best, inequality.bound) <= 0
+
+
+@pytest.fixture
+def pivot_counts(monkeypatch):
+    """Pivots per Tableau.run, in call order, and pivots outside any run."""
+    counts = {"runs": [], "outside": 0}
+    run, pivot = Tableau.run, Tableau.pivot
+    depth = [0]
+
+    def counted_run(self, allowed_cols):
+        start = self.pivots
+        depth[0] += 1
+        try:
+            return run(self, allowed_cols)
+        finally:
+            depth[0] -= 1
+            counts["runs"].append(self.pivots - start)
+
+    def counted_pivot(self, row_index, col):
+        if not depth[0]:
+            counts["outside"] += 1
+        return pivot(self, row_index, col)
+
+    monkeypatch.setattr(Tableau, "run", counted_run)
+    monkeypatch.setattr(Tableau, "pivot", counted_pivot)
+    return counts
+
+
+class TestPinnedPivotCounts:
+    """Bland's rule fixes the pivot sequence; these counts pin it."""
+
+    @pytest.mark.parametrize("turns, pivots, feasible", [
+        ((0, 1, 2), 18, False),
+        ((0, 2, 4, 6), 57, True),
+        ((0, 1, 2, 3), 25, False),
+        ((0, 1, 2, 3, 4), 89, False),
+    ])
+    def test_check_prop2(self, pivot_counts, turns, pivots, feasible):
+        result = check_prop2(build_scenario([eighth(k) for k in turns]))
+        assert result.feasible == feasible
+        assert pivot_counts == {"runs": [pivots], "outside": 0}
+
+    def test_check_prop1_canonical(self, pivot_counts):
+        assert not check_prop1(canonical_scenario()).feasible
+        assert pivot_counts == {"runs": [60], "outside": 0}
+
+    @pytest.mark.parametrize("build, runs, drive_out", [
+        (build_prop2, [375, 0], 0),
+        (build_prop1, [371, 5], 1),
+    ])
+    def test_min_slack_canonical(self, pivot_counts, build, runs, drive_out):
+        min_slack(build(canonical_scenario()))
+        assert pivot_counts == {"runs": runs, "outside": drive_out}

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
 from bellgate.scalar import ExactScalar, MixedBackendError, to_float
@@ -436,3 +437,46 @@ class TestAuditBackends:
     def test_solution_audit_refuses_mixed_backends(self):
         with pytest.raises(MixedBackendError):
             verify_solution([[ex(1)]], [ex(1)], [1.0])
+
+
+SIXTHS = st.integers(-6, 6).map(lambda k: Fraction(k, 6))
+#: one rhs part: small numerator over a per-entry denominator
+RHS_PART = st.builds(Fraction, st.integers(-4, 4),
+                     st.sampled_from((1, 2, 3, 5, 6)))
+#: zero half the time, so degenerate (zero-ratio) ties are common
+RHS_VALUE = st.one_of(st.just(ExactScalar(Fraction(0), Fraction(0))),
+                      st.builds(ExactScalar, RHS_PART, RHS_PART))
+PROPERTY_SETTINGS = settings(derandomize=True, max_examples=150,
+                             deadline=None, database=None)
+
+
+@st.composite
+def rational_systems(draw):
+    """A in k/6 (int tableau cells), b in Q(sqrt2), and a k/6 cost.  An
+    optional scaled copy of row 0 gives equal ratios in the ratio test;
+    a negative factor also makes it a flipped row."""
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 4))
+    A = [[draw(SIXTHS) for _ in range(n)] for _ in range(m)]
+    b = [draw(RHS_VALUE) for _ in range(m)]
+    factor = draw(st.sampled_from((None, 2, Fraction(1, 3), -1)))
+    if factor is not None:
+        A.append([factor * v for v in A[0]])
+        b.append(b[0] * factor)
+    cost = [draw(SIXTHS) for _ in range(n)]
+    return A, b, cost
+
+
+class TestIntKernelProperties:
+    """The int-rhs kernel against the vertex oracle on generated systems."""
+
+    @PROPERTY_SETTINGS
+    @given(rational_systems())
+    def test_feasibility_verdict_and_audits(self, system):
+        A, b, _ = system
+        check_against_oracle(A, b)
+
+    @PROPERTY_SETTINGS
+    @given(rational_systems())
+    def test_minimum_and_audits(self, system):
+        check_min_against_oracle(system[2], system[0], system[1])
