@@ -1,5 +1,6 @@
 """Tests for the decomposition and correlation LP layer."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -41,8 +42,8 @@ from bellgate.qubit import (
     wigner_inequality_value,
 )
 from bellgate.scalar import ExactScalar, compare, sign, to_float
-from bellgate.simplex import (FarkasCertificate, Tableau, verify_certificate,
-                              verify_solution)
+from bellgate.simplex import (FarkasCertificate, Tableau, solve_min,
+                              verify_certificate, verify_solution)
 
 from oracles import exact_lp_feasible
 
@@ -315,11 +316,15 @@ class TestMinSlack:
         float_eps, _ = min_slack(build_prop2(float_canonical()))
         assert float_eps == pytest.approx(to_float(eps), abs=1e-9)
 
-    def test_slack_solution_meets_hard_rows(self):
-        problem = build_prop1(canonical_scenario())
+    @pytest.mark.parametrize("build", [build_prop1, build_prop2])
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    def test_slack_solution_meets_hard_rows(self, build, exact):
+        problem = build(canonical_scenario() if exact else float_canonical())
         eps, x = min_slack(problem)
+        assert len(x) == len(problem.column_labels)
+        assert all(sign(value) >= 0 for value in x)
         for i, label in enumerate(problem.row_labels):
-            total = ex(0)
+            total = problem.rhs[i] - problem.rhs[i]
             for j in range(len(x)):
                 total = total + problem.matrix[i][j] * x[j]
             residual = total - problem.rhs[i]
@@ -328,6 +333,51 @@ class TestMinSlack:
             else:
                 assert sign(residual - eps) <= 0
                 assert sign(residual + eps) >= 0
+
+    @pytest.mark.parametrize("build", [build_prop1, build_prop2])
+    @pytest.mark.parametrize("turns", [(0, 1), (0, 1, 3), (0, 2, 3),
+                                       (0, 2, 4)])
+    def test_matches_x_first_reference(self, build, turns):
+        problem = build(build_scenario([eighth(k) for k in turns]))
+        eps, _ = min_slack(problem)
+        assert eps == x_first_min_slack(problem)
+        float_eps, _ = min_slack(build(build_scenario(
+            [PlanarAngle.from_radians(k * math.pi / 4) for k in turns])))
+        assert float_eps == pytest.approx(to_float(eps), abs=1e-9)
+
+    @pytest.mark.parametrize("build, eps", [
+        # frozen from the x-first column order; (sqrt2-1)/4 and (sqrt2-1)/8
+        (build_prop1, ExactScalar(Fraction(-1, 4), Fraction(1, 4))),
+        (build_prop2, ExactScalar(Fraction(-1, 8), Fraction(1, 8))),
+    ])
+    def test_four_settings_slack(self, build, eps):
+        problem = build(build_scenario([eighth(k) for k in (0, 1, 2, 3)]))
+        assert min_slack(problem)[0] == eps
+
+
+def x_first_min_slack(problem):
+    """eps* of the slack LP with columns [x, eps, u_1, v_1, ...]."""
+    zero, one = ex(0), ex(1)
+    n = len(problem.column_labels)
+    soft = [i for i, label in enumerate(problem.row_labels)
+            if label[0] in ("born", "joint")]
+    width = n + 1 + 2 * len(soft)
+    matrix, rhs = [], []
+    for i, row in enumerate(problem.matrix):
+        if i in soft:
+            k = n + 1 + 2 * soft.index(i)
+            low = list(row) + [zero] * (width - n)
+            low[n], low[k] = -one, one
+            high = list(row) + [zero] * (width - n)
+            high[n], high[k + 1] = one, -one
+            matrix.extend([low, high])
+            rhs.extend([problem.rhs[i]] * 2)
+        else:
+            matrix.append(list(row) + [zero] * (width - n))
+            rhs.append(problem.rhs[i])
+    cost = [zero] * width
+    cost[n] = one
+    return solve_min(cost, matrix, rhs)[0]
 
 
 class TestExtractInequality:
@@ -568,8 +618,8 @@ class TestPinnedPivotCounts:
         assert pivot_counts == {"runs": [60], "outside": 0}
 
     @pytest.mark.parametrize("build, runs, drive_out", [
-        (build_prop2, [375, 0], 0),
-        (build_prop1, [371, 5], 1),
+        (build_prop2, [74, 100], 0),
+        (build_prop1, [95, 55], 0),
     ])
     def test_min_slack_canonical(self, pivot_counts, build, runs, drive_out):
         min_slack(build(canonical_scenario()))
