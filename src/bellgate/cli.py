@@ -76,10 +76,6 @@ def _default_mode() -> str:
     return mode
 
 
-def _resolve_mode(args) -> str:
-    return args.mode or _default_mode()
-
-
 def _parse_angles(text: str, mode: str) -> List[PlanarAngle]:
     parts = [part.strip() for part in text.split(",") if part.strip()]
     if not parts:
@@ -147,7 +143,7 @@ def _emit_json(report: dict, out: Optional[str]):
 
 def _check(args, command: str, build, extend) -> int:
     """Solve and report a check command; extend adds the command's keys."""
-    mode = _resolve_mode(args)
+    mode = args.mode or _default_mode()
     scenario = _scenario_from_args(args, mode)
     m, limit = len(scenario.measurements), MAX_SETTINGS[mode]
     if m > limit:
@@ -259,7 +255,7 @@ def _parse_condition(text: str):
 
 
 def cmd_transform(args) -> int:
-    mode = _resolve_mode(args)
+    mode = args.mode or _default_mode()
     blob = _load_json(args.model)
     if args.direction == "forward":
         scenario = _scenario_from_args(args, mode)
@@ -289,7 +285,7 @@ def cmd_transform(args) -> int:
 
 
 def cmd_validate_model(args) -> int:
-    mode = _resolve_mode(args)
+    mode = args.mode or _default_mode()
     blob = _load_json(args.model)
     if "epistemics" in blob:
         model = _parse_model(args, blob, model_from_json)

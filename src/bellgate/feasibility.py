@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
 from .ontology import (
@@ -37,8 +36,6 @@ from .qubit import (
 from .scalar import (
     ONE,
     ZERO,
-    ExactScalar,
-    MixedBackendError,
     Scalar,
     compare,
     is_exact,
@@ -49,6 +46,7 @@ from .scalar import (
 from .simplex import (
     FarkasCertificate,
     LPResult,
+    _normalize,
     solve_feasibility,
     solve_min,
     verify_certificate,
@@ -84,17 +82,6 @@ def _field(exact: bool) -> Tuple[Scalar, Scalar, Scalar]:
 
 def _emit(value: Scalar, exact: bool) -> Scalar:
     return value if exact else to_float(value)
-
-
-def _lift(value, exact: bool) -> Scalar:
-    """Coerce a raw certificate entry into the problem's backend."""
-    if exact:
-        if isinstance(value, float):
-            raise MixedBackendError("float entry in an exact certificate")
-        if isinstance(value, ExactScalar):
-            return value
-        return ExactScalar(Fraction(value), Fraction(0))
-    return float(value)
 
 
 def _cells(count: int, deterministic: bool) -> Tuple[str, ...]:
@@ -172,6 +159,14 @@ def column_name(label: Tuple) -> str:
     return f"{kind}({','.join(str(part) for part in rest)})"
 
 
+def _problem(scenario: Scenario, matrix, rhs, columns, labels) -> LPProblem:
+    return LPProblem(matrix=tuple(tuple(row) for row in matrix),
+                     rhs=tuple(rhs),
+                     column_labels=columns,
+                     row_labels=tuple(labels),
+                     settings=tuple(m.label for m in scenario.measurements))
+
+
 def build_prop1(scenario: Scenario,
                 include_decomposition_equality: bool = True,
                 deterministic_cells: bool = True,
@@ -235,11 +230,7 @@ def build_prop1(scenario: Scenario,
                 rhs.append(zero)
                 labels.append(("decomp", di, dj, cell))
 
-    return LPProblem(matrix=tuple(tuple(row) for row in matrix),
-                     rhs=tuple(rhs),
-                     column_labels=columns,
-                     row_labels=tuple(labels),
-                     settings=tuple(m.label for m in scenario.measurements))
+    return _problem(scenario, matrix, rhs, columns, labels)
 
 
 def build_prop2(scenario: Scenario, mode: Optional[str] = None) -> LPProblem:
@@ -266,11 +257,7 @@ def build_prop2(scenario: Scenario, mode: Optional[str] = None) -> LPProblem:
                     rhs.append(_emit(bell_joint(ma, mb, a, b), exact))
                     labels.append(("joint", ma.label, mb.label, a, b))
 
-    return LPProblem(matrix=tuple(tuple(row) for row in matrix),
-                     rhs=tuple(rhs),
-                     column_labels=columns,
-                     row_labels=tuple(labels),
-                     settings=tuple(m.label for m in scenario.measurements))
+    return _problem(scenario, matrix, rhs, columns, labels)
 
 
 def solve_problem(problem: LPProblem) -> LPResult:
@@ -415,10 +402,8 @@ def extract_inequality(certificate: FarkasCertificate,
             f"certificate has {len(y)} entries for {len(problem.row_labels)} rows")
     if not verify_certificate(problem.matrix, problem.rhs, certificate):
         raise UnverifiedCertificate("certificate fails its audit")
-    exact = problem.exact
-    lifted = [_lift(v, exact) for v in y]
-    zero, _, _ = _field(exact)
-    bound = zero
+    # int/Fraction entries join the problem's backend; an exact y rejects floats
+    (lifted,), _, bound, _ = _normalize([y], [problem.rhs[0]])
     coefficients = []
     provenance = []
     for i, label in enumerate(problem.row_labels):
@@ -454,8 +439,7 @@ def completed_wigner_certificate(problem: LPProblem,
     if len(problem.settings) < 3:
         raise TooFewMeasurements("the inequality needs three settings")
     m1, m2, m3 = problem.settings[:3]
-    exact = problem.exact
-    zero, _, one = _field(exact)
+    zero, _, one = _field(problem.exact)
     if convention not in ("strict01", "differ"):
         raise ValueError(f"unknown convention {convention!r}")
     weights: Dict[Tuple[str, str, int, int], Scalar] = {}
@@ -498,9 +482,8 @@ def shared_mass_lower_bound(problem: LPProblem, x: Sequence[Scalar],
                             outcome: int) -> Scalar:
     """Inclusion-exclusion floor on the mass the two states must share on
     one response event: mass_a + mass_b - 1."""
-    _, _, one = _field(problem.exact)
     return (event_mass(problem, x, state_a, measurement, outcome)
-            + event_mass(problem, x, state_b, measurement, outcome) - one)
+            + event_mass(problem, x, state_b, measurement, outcome) - 1)
 
 
 def solution_model(problem: LPProblem, x: Sequence[Scalar]) -> OntologicalModel:

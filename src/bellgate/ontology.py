@@ -298,8 +298,7 @@ class ValidationReport:
         }
 
 
-def validate(model: OntologicalModel, scenario: Scenario,
-             check_decompositions: bool = True) -> ValidationReport:
+def validate(model: OntologicalModel, scenario: Scenario) -> ValidationReport:
     """Compare model predictions against Born values, and mixture measures
     against each other, with exact residuals."""
     born_entries = []
@@ -312,18 +311,17 @@ def validate(model: OntologicalModel, scenario: Scenario,
                     state=state.label, measurement=meas.label,
                     outcome=outcome, predicted=predicted, expected=expected))
     mixture_entries = []
-    if check_decompositions:
-        mixtures = []
-        for index in range(len(scenario.decompositions)):
-            a, b = scenario.decomposition_states(index)
-            mixtures.append(mixture_measure(model, (a.label, b.label)))
-        for i in range(len(mixtures)):
-            for j in range(i + 1, len(mixtures)):
-                for cell in model.space.cells:
-                    difference = mixtures[i].weight(cell) - mixtures[j].weight(cell)
-                    mixture_entries.append(MixtureResidual(
-                        first_decomposition=i, second_decomposition=j,
-                        cell=cell, difference=difference))
+    mixtures = []
+    for index in range(len(scenario.decompositions)):
+        a, b = scenario.decomposition_states(index)
+        mixtures.append(mixture_measure(model, (a.label, b.label)))
+    for i in range(len(mixtures)):
+        for j in range(i + 1, len(mixtures)):
+            for cell in model.space.cells:
+                difference = mixtures[i].weight(cell) - mixtures[j].weight(cell)
+                mixture_entries.append(MixtureResidual(
+                    first_decomposition=i, second_decomposition=j,
+                    cell=cell, difference=difference))
     return ValidationReport(born=tuple(born_entries),
                             mixtures=tuple(mixture_entries))
 

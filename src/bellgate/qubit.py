@@ -108,11 +108,8 @@ def born_probability(state: PlanarState, meas: PlanarMeasurement,
     """
     _check_outcome(outcome)
     cos_gap = (meas.angle - state.angle).cos()
-    if isinstance(cos_gap, float):
-        p0 = (1.0 + cos_gap) / 2.0
-        return p0 if outcome == 0 else 1.0 - p0
-    p0 = (ONE + cos_gap) / 2
-    return p0 if outcome == 0 else ONE - p0
+    p0 = (1 + cos_gap) / 2
+    return p0 if outcome == 0 else 1 - p0
 
 
 def bell_joint(meas_a: PlanarMeasurement, meas_b: PlanarMeasurement,
@@ -127,9 +124,7 @@ def bell_joint(meas_a: PlanarMeasurement, meas_b: PlanarMeasurement,
     cos_gap = (meas_a.angle - meas_b.angle).cos()
     if outcome_a != outcome_b:
         cos_gap = -cos_gap
-    if isinstance(cos_gap, float):
-        return (1.0 + cos_gap) / 4.0
-    return (ONE + cos_gap) / 4
+    return (1 + cos_gap) / 4
 
 
 def steered_state(meas_b: PlanarMeasurement, outcome_b: int) -> PlanarState:

@@ -217,24 +217,24 @@ def ensure_same_backend(*values: Scalar) -> bool:
     return kinds.pop() if kinds else True
 
 
-def sign(x: Scalar, tolerance: float = FLOAT_TOLERANCE) -> int:
+def sign(x: Scalar) -> int:
     """-1, 0 or +1.  Exact scalars use the symbolic rule, ints and Fractions
-    their own comparisons; only floats use the tolerance."""
+    their own comparisons; only floats use FLOAT_TOLERANCE."""
     if isinstance(x, ExactScalar):
         return x.sign()
-    if not x or isinstance(x, float) and abs(x) <= tolerance:
+    if not x or isinstance(x, float) and abs(x) <= FLOAT_TOLERANCE:
         return 0
     return 1 if x > 0 else -1
 
 
-def is_zero(x: Scalar, tolerance: float = FLOAT_TOLERANCE) -> bool:
-    return sign(x, tolerance) == 0
+def is_zero(x: Scalar) -> bool:
+    return sign(x) == 0
 
 
-def compare(x: Scalar, y: Scalar, tolerance: float = FLOAT_TOLERANCE) -> int:
-    """Sign of x - y on a shared backend (-1 less, 0 equal, +1 greater)."""
-    ensure_same_backend(x, y)
-    return sign(x - y, tolerance)
+def compare(x: Scalar, y: Scalar) -> int:
+    """Sign of x - y (-1 less, 0 equal, +1 greater); x - y raises
+    MixedBackendError when exact and float values meet."""
+    return sign(x - y)
 
 
 def zero_like(x: Scalar) -> Scalar:

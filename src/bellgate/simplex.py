@@ -347,7 +347,8 @@ def _rational(v):
 def verify_solution(A: Sequence[Sequence[Scalar]], b: Sequence[Scalar],
                     x: Sequence[Scalar]) -> bool:
     """Independent audit of Ax = b and x >= 0 (exact, or within 1e-9)."""
-    if any(sign(v) < 0 for v in x) or any(len(row) != len(x) for row in A):
+    if (len(A) != len(b) or any(sign(v) < 0 for v in x)
+            or any(len(row) != len(x) for row in A)):
         return False
     support = [j for j, v in enumerate(x) if v]
     for row, target in zip(A, b):
@@ -368,7 +369,7 @@ def verify_certificate(A: Sequence[Sequence[Scalar]], b: Sequence[Scalar],
     y and A are exact and rational; only y^T b needs Q(sqrt2).
     """
     y = certificate.y
-    if len(y) != len(b):
+    if len(y) != len(b) or len(A) != len(b):
         return False
     totals = [0] * max(map(len, A), default=0)
     for weight, row in zip(y, A):

@@ -41,7 +41,8 @@ from bellgate.qubit import (
     canonical_scenario,
     wigner_inequality_value,
 )
-from bellgate.scalar import ExactScalar, compare, sign, to_float
+from bellgate.scalar import (ExactScalar, MixedBackendError, compare, sign,
+                             to_float)
 from bellgate.simplex import (FarkasCertificate, Tableau, solve_min,
                               verify_certificate, verify_solution)
 
@@ -469,6 +470,76 @@ class TestExtractInequality:
         assert {"P(01|Z,Z+X)", "P(01|Z,X)", "P(01|Z+X,X)", "P(10|Z+X,Z+X)"} \
             == {term["probability"] for term in blob["terms"]}
         assert "joint(Z,X,0,1)" in blob["provenance"]
+
+
+def plain(value):
+    """A rational ExactScalar as the bare int or Fraction a caller would
+    write by hand."""
+    assert not value.b
+    a = value.a
+    return a.numerator if a.denominator == 1 else a
+
+
+class TestExtractPlainEntries:
+    """Certificate entries given as plain ints and Fractions join the
+    problem's backend when the inequality is read off."""
+
+    def raw_certificate(self, problem, source):
+        if source == "solver":
+            y = solve_problem(problem).certificate.y
+        else:
+            y = completed_wigner_certificate(problem).y
+        y = [plain(v) for v in y]
+        if source == "wigner/2":
+            # Fraction entries (the solver's and Wigner's are all ints)
+            y = [v * Fraction(1, 2) for v in y]
+        return y
+
+    @pytest.mark.parametrize("source", ["solver", "wigner", "wigner/2"])
+    def test_exact_problem_gives_exact_scalars(self, source):
+        problem = build_prop2(canonical_scenario())
+        y = self.raw_certificate(problem, source)
+        assert not any(isinstance(v, ExactScalar) for v in y)
+        inequality = extract_inequality(FarkasCertificate(y=tuple(y)),
+                                        problem)
+        lifted = FarkasCertificate(
+            y=tuple(ExactScalar.from_rational(v) for v in y))
+        assert inequality == extract_inequality(lifted, problem)
+        assert isinstance(inequality.bound, ExactScalar)
+        assert inequality.coefficients
+        assert all(isinstance(coeff, ExactScalar)
+                   for _, coeff in inequality.coefficients)
+        blob = inequality.to_json()
+        assert set(blob["bound"]) == {"a", "b", "approx"}
+        for term in blob["terms"]:
+            assert set(term["coefficient"]) == {"a", "b", "approx"}
+
+    def test_float_problem_gives_floats(self):
+        # the audit takes float weights against float data, so the plain
+        # entries here are the zeros
+        problem = build_prop2(float_canonical())
+        certificate = completed_wigner_certificate(problem)
+        y = tuple(v if v else (0 if i % 2 else Fraction(0))
+                  for i, v in enumerate(certificate.y))
+        assert any(type(v) is int for v in y)
+        inequality = extract_inequality(FarkasCertificate(y=y), problem)
+        assert inequality == extract_inequality(certificate, problem)
+        assert type(inequality.bound) is float
+        assert all(type(coeff) is float
+                   for _, coeff in inequality.coefficients)
+        assert isinstance(inequality.to_json()["bound"], float)
+
+    @pytest.mark.parametrize("position", ["zero", "weight"])
+    def test_float_entry_in_exact_certificate_raises(self, position):
+        # a 0.0 passes the audit (zero weights are skipped) and is refused
+        # when the entries are lifted; a nonzero float fails in the audit
+        problem = build_prop2(canonical_scenario())
+        y = self.raw_certificate(problem, "wigner")
+        i = next(i for i, v in enumerate(y)
+                 if (v == 0) == (position == "zero"))
+        y[i] = float(y[i])
+        with pytest.raises(MixedBackendError):
+            extract_inequality(FarkasCertificate(y=tuple(y)), problem)
 
 
 class TestEventMass:

@@ -1,7 +1,8 @@
-"""Byte-exact CLI reports for the canonical exact commands.
+"""Byte-exact CLI reports for the canonical exact and float commands.
 
 The golden files pin certificates, witnesses and margins, so any change to
-the solver's pivot sequence or certificate read-out shows up here.  To
+the solver's pivot sequence or certificate read-out shows up here.  The
+float files also pin the last bits of every float the reports print.  To
 regenerate after an intended change, run for example
 ``PYTHONPATH=src python -m bellgate.cli check-prop1 > tests/golden/check_prop1.json``.
 """
@@ -29,3 +30,15 @@ def test_exact_report_matches_golden(capsys, name, argv):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert out == (GOLDEN / f"{name}.json").read_text()
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("check_prop1_float.json", ["check-prop1", "--mode", "float"]),
+    ("check_prop2_float.json", ["check-prop2", "--mode", "float"]),
+    ("scan_0.1_0.3_3.csv",
+     ["scan", "--from", "0.1", "--to", "0.3", "--steps", "3"]),
+])
+def test_float_report_matches_golden(capsys, name, argv):
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out == (GOLDEN / name).read_text()

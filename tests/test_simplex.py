@@ -217,6 +217,22 @@ class TestVerifiers:
         assert not verify_certificate([[ex(1)]], [ex(1)],
                                       FarkasCertificate(y=(ex(1), ex(1))))
 
+    @pytest.mark.parametrize("A, b", [
+        ([[1]], [1, 5]),        # a second rhs with no row
+        ([[1], [1]], [1]),      # a second row with no rhs
+    ], ids=["extra-rhs", "extra-row"])
+    def test_solution_rejects_row_count_mismatch(self, A, b):
+        # x = 1 satisfies every row it is checked against, so only the
+        # count can refuse it
+        assert not verify_solution(A, b, (1,))
+
+    @pytest.mark.parametrize("A, b, y", [
+        ([[1]], [1, 1], (0, 1)),      # the weight sits on a missing row
+        ([[-1], [1]], [1], (1,)),     # y^T A skips the row with no rhs
+    ], ids=["extra-rhs", "extra-row"])
+    def test_certificate_rejects_row_count_mismatch(self, A, b, y):
+        assert not verify_certificate(A, b, FarkasCertificate(y=y))
+
     def test_float_tolerance(self):
         assert verify_solution([[1.0]], [1.0], [1.0 + 1e-12])
         assert not verify_solution([[1.0]], [1.0], [1.0 + 1e-6])
