@@ -34,14 +34,12 @@ from .qubit import (
     born_probability,
 )
 from .scalar import (
-    ONE,
-    ZERO,
     Scalar,
     compare,
+    field,
     is_exact,
     scalar_to_json,
     sign,
-    to_float,
 )
 from .simplex import (
     FarkasCertificate,
@@ -55,33 +53,8 @@ from .simplex import (
 SOFT_ROW_KINDS = ("born", "joint")
 
 
-class FloatModeWithExactRequest(ValueError):
-    """Exact answers were requested from a float-backed scenario."""
-
-
 class UnverifiedCertificate(ValueError):
     """A certificate failed its audit and cannot back an inequality."""
-
-
-def _target_exact(scenario: Scenario, mode: Optional[str]) -> bool:
-    if mode is None:
-        return scenario.exact
-    if mode == "exact":
-        if not scenario.exact:
-            raise FloatModeWithExactRequest(
-                "scenario carries float angles; exact results are unavailable")
-        return True
-    if mode == "float":
-        return False
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def _field(exact: bool) -> Tuple[Scalar, Scalar, Scalar]:
-    return (ZERO, ONE / 2, ONE) if exact else (0.0, 0.5, 1.0)
-
-
-def _emit(value: Scalar, exact: bool) -> Scalar:
-    return value if exact else to_float(value)
 
 
 def _cells(count: int, deterministic: bool) -> Tuple[str, ...]:
@@ -170,8 +143,8 @@ def _problem(scenario: Scenario, matrix, rhs, columns, labels) -> LPProblem:
 def build_prop1(scenario: Scenario,
                 include_decomposition_equality: bool = True,
                 deterministic_cells: bool = True,
-                equality_pairs: Optional[Sequence[Tuple[int, int]]] = None,
-                mode: Optional[str] = None) -> LPProblem:
+                equality_pairs: Optional[Sequence[Tuple[int, int]]] = None
+                ) -> LPProblem:
     """Decomposition problem: per-state cell measures matching Born rows,
     plus (optionally) cellwise equality of the decomposition mixtures.
 
@@ -181,8 +154,7 @@ def build_prop1(scenario: Scenario,
     the default chains consecutive decompositions, which implies all the
     rest.
     """
-    exact = _target_exact(scenario, mode)
-    zero, half, one = _field(exact)
+    zero, half, one = field(scenario.exact)
     cells = _cells(len(scenario.measurements), deterministic_cells)
     columns = tuple(("mu", state.label, cell)
                     for state in scenario.states for cell in cells)
@@ -205,8 +177,7 @@ def build_prop1(scenario: Scenario,
                     row[index[("mu", state.label, cell)]] = _response_weight(
                         cell[mi], outcome, zero, half, one)
                 matrix.append(row)
-                rhs.append(_emit(born_probability(state, meas, outcome),
-                                 exact))
+                rhs.append(born_probability(state, meas, outcome))
                 labels.append(("born", state.label, meas.label, outcome))
 
     if include_decomposition_equality:
@@ -233,12 +204,11 @@ def build_prop1(scenario: Scenario,
     return _problem(scenario, matrix, rhs, columns, labels)
 
 
-def build_prop2(scenario: Scenario, mode: Optional[str] = None) -> LPProblem:
+def build_prop2(scenario: Scenario) -> LPProblem:
     """Correlation problem: a distribution over deterministic strategy pairs
     reproducing every joint outcome probability of the maximally entangled
     table, for every ordered pair of settings."""
-    exact = _target_exact(scenario, mode)
-    zero, _, one = _field(exact)
+    zero, _, one = field(scenario.exact)
     strategies = all_strategies(len(scenario.measurements))
     columns = tuple(("p", strategy_key(s)) for s in strategies)
     matrix, rhs, labels = [], [], []
@@ -254,7 +224,7 @@ def build_prop2(scenario: Scenario, mode: Optional[str] = None) -> LPProblem:
                     row = [one if s[0][ia] == a and s[1][ib] == b else zero
                            for s in strategies]
                     matrix.append(row)
-                    rhs.append(_emit(bell_joint(ma, mb, a, b), exact))
+                    rhs.append(bell_joint(ma, mb, a, b))
                     labels.append(("joint", ma.label, mb.label, a, b))
 
     return _problem(scenario, matrix, rhs, columns, labels)
@@ -269,8 +239,8 @@ def check_prop1(scenario: Scenario, **options) -> LPResult:
     return solve_problem(build_prop1(scenario, **options))
 
 
-def check_prop2(scenario: Scenario, mode: Optional[str] = None) -> LPResult:
-    return solve_problem(build_prop2(scenario, mode=mode))
+def check_prop2(scenario: Scenario) -> LPResult:
+    return solve_problem(build_prop2(scenario))
 
 
 def min_slack(problem: LPProblem) -> Tuple[Scalar, Tuple[Scalar, ...]]:
@@ -281,7 +251,7 @@ def min_slack(problem: LPProblem) -> Tuple[Scalar, Tuple[Scalar, ...]]:
     when the original problem is feasible.  Returns (eps*, x) with x
     restricted to the original columns.
     """
-    zero, _, one = _field(problem.exact)
+    zero, _, one = field(problem.exact)
     soft = [i for i, label in enumerate(problem.row_labels)
             if label[0] in SOFT_ROW_KINDS]
     # Columns [eps, u_1, v_1, ..., u_k, v_k, x]: with eps and the slacks
@@ -439,7 +409,7 @@ def completed_wigner_certificate(problem: LPProblem,
     if len(problem.settings) < 3:
         raise TooFewMeasurements("the inequality needs three settings")
     m1, m2, m3 = problem.settings[:3]
-    zero, _, one = _field(problem.exact)
+    zero, _, one = field(problem.exact)
     if convention not in ("strict01", "differ"):
         raise ValueError(f"unknown convention {convention!r}")
     weights: Dict[Tuple[str, str, int, int], Scalar] = {}
@@ -464,7 +434,7 @@ def event_mass(problem: LPProblem, x: Sequence[Scalar], state: str,
     if measurement not in problem.settings:
         raise UnknownMeasurement(measurement)
     mi = problem.settings.index(measurement)
-    zero, half, one = _field(problem.exact)
+    zero, half, one = field(problem.exact)
     total = zero
     seen = False
     for j, label in enumerate(problem.column_labels):
@@ -490,7 +460,7 @@ def solution_model(problem: LPProblem, x: Sequence[Scalar]) -> OntologicalModel:
     """Ontological model read off a decomposition-problem solution: LP cells
     become ontic cells, solution weights become epistemic states, and cell
     ids fix the (state-independent) response table."""
-    zero, half, one = _field(problem.exact)
+    zero, half, one = field(problem.exact)
     cells = []
     weights: Dict[str, Dict[str, Scalar]] = {}
     for j, label in enumerate(problem.column_labels):

@@ -17,11 +17,11 @@ from .qubit import Scenario, _check_outcome, born_probability
 from .scalar import (
     Scalar,
     ensure_same_backend,
-    one_like,
+    field,
+    is_exact,
     scalar_from_json,
     scalar_to_json,
     sign,
-    zero_like,
 )
 
 
@@ -38,15 +38,14 @@ class UnknownSetting(KeyError):
 
 
 def _check_distribution(values: Sequence[Scalar], what: str):
-    exact = ensure_same_backend(*values)
+    ensure_same_backend(*values)
     total = None
     for v in values:
         if sign(v) < 0:
             raise ValueError(f"{what} has a negative weight")
         total = v if total is None else total + v
-    if total is None or sign(total - one_like(total)) != 0:
+    if total is None or sign(total - 1) != 0:
         raise ValueError(f"{what} must sum to 1")
-    return exact
 
 
 @dataclass(frozen=True)
@@ -78,7 +77,7 @@ class EpistemicState:
     def weight(self, cell: str) -> Scalar:
         if cell in self.weights:
             return self.weights[cell]
-        return zero_like(next(iter(self.weights.values())))
+        return field(is_exact(next(iter(self.weights.values()))))[0]
 
 
 @dataclass(frozen=True)
@@ -97,11 +96,11 @@ class ResponseFunctions:
         object.__setattr__(self, "table", frozen)
         for meas, cells in self.table.items():
             for cell, pair in cells.items():
-                exact = ensure_same_backend(*pair)
+                ensure_same_backend(*pair)
                 if sign(pair[0]) < 0 or sign(pair[1]) < 0:
                     raise ValueError(
                         f"response({meas}, {cell}) has a negative probability")
-                if sign(pair[0] + pair[1] - one_like(pair[0])) != 0:
+                if sign(pair[0] + pair[1] - 1) != 0:
                     raise ValueError(
                         f"response({meas}, {cell}) does not sum to 1")
 
@@ -122,7 +121,7 @@ class ResponseFunctions:
     def is_deterministic(self) -> bool:
         for cells in self.table.values():
             for pair in cells.values():
-                if sign(pair[0]) != 0 and sign(pair[0] - one_like(pair[0])) != 0:
+                if sign(pair[0]) != 0 and sign(pair[0] - 1) != 0:
                     return False
         return True
 
@@ -227,9 +226,7 @@ def canonicalize_deterministic(model: OntologicalModel) -> OntologicalModel:
             if sign(value) != 0:
                 weights[name] = value
         epistemics[state] = EpistemicState(weights=weights)
-    sample = multipliers[refined_cells[0]]
-    one = one_like(sample)
-    zero = zero_like(sample)
+    zero, _, one = field(is_exact(multipliers[refined_cells[0]]))
     responses = ResponseFunctions(table={
         meas: {name: ((one, zero) if assignments[name][k] == 0 else (zero, one))
                for name in refined_cells}
@@ -380,7 +377,7 @@ class LocalHVModel:
     def weight(self, strategy: Strategy) -> Scalar:
         if strategy in self.weights:
             return self.weights[strategy]
-        return zero_like(next(iter(self.weights.values())))
+        return field(is_exact(next(iter(self.weights.values()))))[0]
 
 
 def predict_lhv(model: LocalHVModel, meas_a: str, meas_b: str,
@@ -390,7 +387,7 @@ def predict_lhv(model: LocalHVModel, meas_a: str, meas_b: str,
     _check_outcome(b)
     index_a = model.setting_index(meas_a)
     index_b = model.setting_index(meas_b)
-    total = zero_like(next(iter(model.weights.values())))
+    total = field(is_exact(next(iter(model.weights.values()))))[0]
     for (a_bits, b_bits), weight in model.weights.items():
         if a_bits[index_a] == a and b_bits[index_b] == b:
             total = total + weight

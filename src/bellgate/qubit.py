@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 from .scalar import HALF_SQRT2, ONE, ZERO, MixedBackendError, Scalar
 
@@ -229,8 +229,7 @@ class Scenario:
         return self.states[i], self.states[j]
 
 
-def build_scenario(angles: Sequence[PlanarAngle],
-                   labels: Optional[Sequence[str]] = None) -> Scenario:
+def build_scenario(angles: Sequence[PlanarAngle]) -> Scenario:
     """Scenario from measurement angles: eigenpair states, one decomposition
     per measurement.  Duplicate auto-generated labels get a #n suffix."""
     measurements: List[PlanarMeasurement] = []
@@ -239,13 +238,7 @@ def build_scenario(angles: Sequence[PlanarAngle],
     used_meas: set = set()
     used_state: set = set()
     for index, angle in enumerate(angles):
-        if labels is not None:
-            label = labels[index]
-            if label in used_meas:
-                raise ValueError(f"duplicate measurement label {label!r}")
-            used_meas.add(label)
-        else:
-            label = _unique(_measurement_label(angle, index), used_meas)
+        label = _unique(_measurement_label(angle, index), used_meas)
         meas = PlanarMeasurement(label=label, angle=angle)
         measurements.append(meas)
         plus = PlanarState(

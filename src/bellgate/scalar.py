@@ -75,6 +75,8 @@ class ExactScalar:
     __radd__ = __add__
 
     def __sub__(self, other):
+        if type(other) is int:
+            return ExactScalar(self.a - other, self.b)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -237,12 +239,9 @@ def compare(x: Scalar, y: Scalar) -> int:
     return sign(x - y)
 
 
-def zero_like(x: Scalar) -> Scalar:
-    return ZERO if isinstance(x, ExactScalar) else 0.0
-
-
-def one_like(x: Scalar) -> Scalar:
-    return ONE if isinstance(x, ExactScalar) else 1.0
+def field(exact: bool) -> tuple[Scalar, Scalar, Scalar]:
+    """The backend's (zero, half, one): ExactScalars, or floats."""
+    return (ZERO, ONE / 2, ONE) if exact else (0.0, 0.5, 1.0)
 
 
 def to_float(x: Scalar) -> float:

@@ -30,7 +30,11 @@ class DimensionMismatch(ValueError):
 
 
 class CyclingDetected(RuntimeError):
-    """Internal invariant breach: pivot ceiling hit or output failed audit."""
+    """Internal invariant breach: the pivot ceiling was hit."""
+
+
+class AuditFailed(RuntimeError):
+    """Internal invariant breach: a solver output failed its audit."""
 
 
 class Unbounded(RuntimeError):
@@ -266,7 +270,7 @@ def _phase_one(rows, rhs, cost, zero, A, b):
         y.append(-multiplier if flips[i] else multiplier)
     certificate = FarkasCertificate(y=tuple(y))
     if not verify_certificate(A, b, certificate):
-        raise CyclingDetected("solver produced a certificate that fails audit")
+        raise AuditFailed("solver produced a certificate that fails audit")
     return tableau, cost, certificate
 
 
@@ -284,7 +288,7 @@ def solve_feasibility(A: Sequence[Sequence[Scalar]],
         return LPResult(status="infeasible", certificate=certificate)
     x = tableau.solution(n)
     if not verify_solution(A, b, x):
-        raise CyclingDetected("solver returned a point that fails audit")
+        raise AuditFailed("solver returned a point that fails audit")
     return LPResult(status="feasible", x=x)
 
 
@@ -327,7 +331,7 @@ def solve_min(c: Sequence[Scalar], A: Sequence[Sequence[Scalar]],
     phase_two.run(range(n))
     x = phase_two.solution(n)
     if not verify_solution(A, b, x):
-        raise CyclingDetected("optimizer returned a point that fails audit")
+        raise AuditFailed("optimizer returned a point that fails audit")
     value = zero
     for j in range(n):
         if sign(x[j]) != 0 and sign(cost[j]) != 0:
@@ -365,16 +369,22 @@ def verify_certificate(A: Sequence[Sequence[Scalar]], b: Sequence[Scalar],
                        certificate: FarkasCertificate) -> bool:
     """Independent audit of y^T A <= 0 componentwise and y^T b > 0.
 
-    y^T A runs over the nonzero entries of A only, in plain rationals when
-    y and A are exact and rational; only y^T b needs Q(sqrt2).
+    The data picks the backend, as in _normalize: float when it holds a
+    float, and int/Fraction weights join it (a mix raises
+    MixedBackendError).  y^T A runs over the nonzero
+    entries of A only, in plain rationals when the data is exact and
+    rational; only y^T b needs Q(sqrt2).
     """
     y = certificate.y
     if len(y) != len(b) or len(A) != len(b):
         return False
+    exact = not any(isinstance(v, float) for v in b)
+    if exact and not any(isinstance(v, ExactScalar) for v in b):
+        # a rational b leaves the choice to A
+        exact = not any(isinstance(v, float) for row in A for v in row)
     totals = [0] * max(map(len, A), default=0)
     for weight, row in zip(y, A):
         if weight:
-            exact = not isinstance(weight, float)
             if exact:
                 weight = _rational(weight)
             for j, v in enumerate(row):

@@ -28,8 +28,7 @@ from .ontology import (
     strategy_key,
 )
 from .qubit import Scenario
-from .scalar import (Scalar, is_zero, one_like, scalar_to_json, sign,
-                     zero_like)
+from .scalar import Scalar, field, is_exact, is_zero, scalar_to_json, sign
 
 
 class PremiseViolated(ValueError):
@@ -119,8 +118,7 @@ def reverse_group(lhv: LocalHVModel, side: str, measurement: str,
     if total is None or is_zero(total):
         raise ZeroProbabilityCondition(
             f"P({measurement}={outcome}) on side {side} is zero")
-    one = one_like(total)
-    zero = zero_like(total)
+    zero, _, one = field(is_exact(total))
     cells = tuple(strategy_key(strategy) for strategy, _ in survivors)
     epistemic = EpistemicState(weights={
         strategy_key(strategy): weight / total
@@ -169,9 +167,7 @@ class IndependenceReport:
         }
 
 
-def decomposition_independence_check(
-        lhv: LocalHVModel,
-        scenario: Optional[Scenario] = None) -> IndependenceReport:
+def decomposition_independence_check(lhv: LocalHVModel) -> IndependenceReport:
     """Check that every setting's outcome-grouping rebuilds the same measure.
 
     For each side and setting M, sums P(outcome|M) times the conditioned
@@ -179,15 +175,11 @@ def decomposition_independence_check(
     result equal the original weights, and the report carries the exact
     residuals so the identity is audited rather than assumed.
     """
-    if scenario is None:
-        settings = lhv.settings
-    else:
-        settings = tuple(m.label for m in scenario.measurements)
+    zero = field(is_exact(next(iter(lhv.weights.values()))))[0]
     residuals = []
     for side in ("A", "B"):
         picker = 0 if side == "A" else 1
-        for setting in settings:
-            j = lhv.setting_index(setting)
+        for j, setting in enumerate(lhv.settings):
             rebuilt: Dict[str, Scalar] = {}
             for outcome in (0, 1):
                 total = None
@@ -204,7 +196,7 @@ def decomposition_independence_check(
                     _add(rebuilt, cell, total * weight)
             for strategy, weight in lhv.weights.items():
                 key = strategy_key(strategy)
-                rebuilt_weight = rebuilt.get(key, zero_like(weight))
+                rebuilt_weight = rebuilt.get(key, zero)
                 residuals.append(IndependenceResidual(
                     side=side, setting=setting, strategy=key,
                     residual=rebuilt_weight - weight))

@@ -18,7 +18,7 @@ from bellgate.ontology import (
     _all_bitstrings,
 )
 from bellgate.qubit import born_probability
-from bellgate.scalar import ExactScalar, one_like, sign, zero_like
+from bellgate.scalar import ExactScalar, field, is_exact, sign
 
 
 def load_bundled(name):
@@ -42,8 +42,7 @@ def product_model(scenario):
     cells = ["".join(str(b) for b in bits)
              for bits in _all_bitstrings(len(measurements))]
     sample = born_probability(scenario.states[0], measurements[0], 0)
-    one = one_like(sample)
-    zero = zero_like(sample)
+    zero, _, one = field(is_exact(sample))
     responses = ResponseFunctions(table={
         meas.label: {cell: ((one, zero) if cell[k] == "0" else (zero, one))
                      for cell in cells}

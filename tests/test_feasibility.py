@@ -8,19 +8,15 @@ import pytest
 
 from bellgate.feasibility import (
     BellInequality,
-    FloatModeWithExactRequest,
-    LPProblem,
     UnverifiedCertificate,
     build_prop1,
     build_prop2,
     check_prop1,
     check_prop2,
-    column_name,
     completed_wigner_certificate,
     event_mass,
     extract_inequality,
     min_slack,
-    row_name,
     shared_mass_lower_bound,
     solution_model,
     solve_problem,
@@ -35,7 +31,6 @@ from bellgate.ontology import (
 from bellgate.qubit import (
     PlanarAngle,
     Scenario,
-    bell_joint,
     born_probability,
     build_scenario,
     canonical_scenario,
@@ -127,19 +122,12 @@ class TestBuildProp1:
         assert len(problem.column_labels) == 6 * 27
         assert ("mu", "|0>", "0h1") in problem.column_labels
 
-    def test_float_mode_from_exact_scenario(self):
-        problem = build_prop1(canonical_scenario(), mode="float")
-        assert isinstance(problem.rhs[0], float)
-        i = problem.row_index(("born", "|0>", "Z+X", 0))
+    def test_float_scenario_gives_float_rhs(self):
+        problem = build_prop1(float_canonical())
+        assert not problem.exact
+        assert all(type(v) is float for v in problem.rhs)
+        i = problem.row_index(("born", "M0:0", "M1", 0))
         assert problem.rhs[i] == pytest.approx(0.8535533905932737)
-
-    def test_exact_mode_from_float_scenario_rejected(self):
-        with pytest.raises(FloatModeWithExactRequest):
-            build_prop1(float_canonical(), mode="exact")
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            build_prop1(canonical_scenario(), mode="interval")
 
     def test_json_round_shape(self):
         blob = build_prop1(canonical_scenario()).to_json()
@@ -515,13 +503,13 @@ class TestExtractPlainEntries:
             assert set(term["coefficient"]) == {"a", "b", "approx"}
 
     def test_float_problem_gives_floats(self):
-        # the audit takes float weights against float data, so the plain
-        # entries here are the zeros
+        # int weights (the zeros and the +-1 weights) and Fraction zeros
+        # join the float data
         problem = build_prop2(float_canonical())
         certificate = completed_wigner_certificate(problem)
-        y = tuple(v if v else (0 if i % 2 else Fraction(0))
+        y = tuple(int(v) if v or i % 2 else Fraction(0)
                   for i, v in enumerate(certificate.y))
-        assert any(type(v) is int for v in y)
+        assert any(type(v) is int and v for v in y)
         inequality = extract_inequality(FarkasCertificate(y=y), problem)
         assert inequality == extract_inequality(certificate, problem)
         assert type(inequality.bound) is float
@@ -633,8 +621,11 @@ class TestBestResponse:
         ((0, 1, 2), None), ((0, 1, 2, 3), None), ((0, 1, 2, 3, 4), None),
         ((0, 1, 2, 3, 4), "float")])
     def test_extracted_inequalities_match_enumeration(self, turns, mode):
-        problem = build_prop2(build_scenario([eighth(k) for k in turns]),
-                              mode=mode)
+        # mode as in the CLI: "float" builds the scenario from radians
+        make = eighth if mode is None else (
+            lambda k: PlanarAngle.from_radians(k * math.pi / 4))
+        problem = build_prop2(build_scenario([make(k) for k in turns]))
+        assert problem.exact == (mode is None)
         result = solve_problem(problem)
         inequality = extract_inequality(result.certificate, problem)
         best, strategy = inequality.max_strategy_value()

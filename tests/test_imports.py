@@ -4,8 +4,9 @@ Every fresh CLI process pays for each module it imports, so a new
 dependency (logging, numpy, scipy, ...) or a new bellgate module would
 raise start-up cost unnoticed.  The child runs with -S, so the site
 machinery preloads nothing and the new-module set is the whole closure.
-A module-level import that nothing reads is refused too: it still costs
-set-up time on every import, and deletions tend to leave such imports.
+A module-level import that nothing reads is refused too, in the package
+and in the tests: it still costs set-up time on every import, and
+deletions tend to leave such imports.
 """
 
 import ast
@@ -15,7 +16,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 
 #: stdlib modules `python -S -c "import bellgate.cli"` loaded on Python
 #: 3.11 before the exact fraction-free kernel; the sre_* names are their
@@ -95,8 +97,9 @@ def test_unused_imports_are_found():
 
 def test_every_module_level_import_is_used():
     found = {}
-    for path in sorted((SRC / "bellgate").glob("*.py")):
+    for path in (sorted((SRC / "bellgate").glob("*.py"))
+                 + sorted(TESTS.glob("*.py"))):
         unused = unused_imports(path.read_text())
         if unused:
-            found[path.name] = unused
+            found[f"{path.parent.name}/{path.name}"] = unused
     assert not found, f"unused module-level imports: {found}"

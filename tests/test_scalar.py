@@ -16,14 +16,13 @@ from bellgate.scalar import (
     MixedBackendError,
     compare,
     ensure_same_backend,
+    field,
     is_exact,
     is_zero,
-    one_like,
     scalar_from_json,
     scalar_to_json,
     sign,
     to_float,
-    zero_like,
 )
 
 
@@ -163,12 +162,11 @@ class TestBackends:
         with pytest.raises(MixedBackendError):
             compare(ONE, 1.0)
 
-    def test_like_helpers(self):
-        assert zero_like(SQRT2) == ZERO
-        assert zero_like(2.5) == 0.0
-        assert isinstance(zero_like(2.5), float)
-        assert one_like(SQRT2) == ONE
-        assert one_like(2.5) == 1.0
+    def test_field(self):
+        assert field(True) == (ZERO, ExactScalar(Fraction(1, 2), 0), ONE)
+        assert all(is_exact(v) for v in field(True))
+        assert field(False) == (0.0, 0.5, 1.0)
+        assert all(type(v) is float for v in field(False))
         assert is_exact(SQRT2) and not is_exact(2.5)
 
     def test_float_compare(self):

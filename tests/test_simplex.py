@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
+from bellgate import simplex
 from bellgate.scalar import ExactScalar, MixedBackendError, to_float
 from bellgate.simplex import (
+    AuditFailed,
     CyclingDetected,
     DimensionMismatch,
     FarkasCertificate,
@@ -233,6 +235,18 @@ class TestVerifiers:
     def test_certificate_rejects_row_count_mismatch(self, A, b, y):
         assert not verify_certificate(A, b, FarkasCertificate(y=y))
 
+    @pytest.mark.parametrize("b", [[1.0, 2.0], [1, 2]],
+                             ids=["float-b", "int-b"])
+    @pytest.mark.parametrize("y", [(-1, 1), (Fraction(-1), Fraction(1))],
+                             ids=["int", "Fraction"])
+    def test_certificate_plain_weights_join_float_data(self, b, y):
+        # a float anywhere in the data makes the audit float, as in the
+        # solver, so hand-written rational weights are checked, not refused
+        A = [[1.0], [1.0]]
+        assert verify_certificate(A, b, FarkasCertificate(y=y))
+        assert not verify_certificate(A, b, FarkasCertificate(
+            y=tuple(-v for v in y)))
+
     def test_float_tolerance(self):
         assert verify_solution([[1.0]], [1.0], [1.0 + 1e-12])
         assert not verify_solution([[1.0]], [1.0], [1.0 + 1e-6])
@@ -240,6 +254,27 @@ class TestVerifiers:
     def test_result_shape(self):
         result = LPResult(status="feasible", x=(ex(1),))
         assert result.feasible and result.certificate is None
+
+
+class TestInvariantBreaches:
+    """The two internal errors, forced on systems the solver gets right."""
+
+    def test_pivot_ceiling_raises_cycling_detected(self, monkeypatch):
+        monkeypatch.setattr(simplex, "MAX_PIVOTS", 0)
+        with pytest.raises(CyclingDetected):
+            solve_feasibility([[ex(1)]], [ex(1)])
+
+    @pytest.mark.parametrize("auditor, solve", [
+        ("verify_certificate",
+         lambda: solve_feasibility([[ex(1)], [ex(-1)]], [ex(1), ex(1)])),
+        ("verify_solution", lambda: solve_feasibility([[ex(1)]], [ex(1)])),
+        ("verify_solution", lambda: solve_min([ex(1)], [[ex(1)]], [ex(1)])),
+    ], ids=["certificate", "point", "optimum"])
+    def test_failed_audit_raises_audit_failed(self, monkeypatch, auditor,
+                                              solve):
+        monkeypatch.setattr(simplex, auditor, lambda *args: False)
+        with pytest.raises(AuditFailed):
+            solve()
 
 
 SQRT2 = ExactScalar(Fraction(0), Fraction(1))

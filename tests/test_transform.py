@@ -17,7 +17,6 @@ from bellgate.ontology import (
     predict,
     predict_lhv,
     strategy_from_key,
-    strategy_key,
 )
 from bellgate.feasibility import check_prop1
 from bellgate.qubit import (
@@ -250,13 +249,6 @@ class TestIndependenceCheck:
         for _ in range(20):
             lhv = random_lhv(rng, ("Z", "Z+X", "X"))
             assert decomposition_independence_check(lhv).all_zero
-
-    def test_scenario_restricts_settings(self):
-        lhv = forward_charlie(toy_two_setting_model(), two_setting_scenario())
-        report = decomposition_independence_check(lhv,
-                                                  two_setting_scenario())
-        assert report.all_zero
-        assert {entry.setting for entry in report.residuals} == {"Z", "X"}
 
 
 class TestRoundTrip:
