@@ -34,6 +34,9 @@ from .feasibility import (
     solve_problem,
 )
 from .ontology import (
+    UnknownMeasurement,
+    UnknownSetting,
+    UnknownState,
     lhv_from_json,
     lhv_to_json,
     model_from_json,
@@ -242,6 +245,14 @@ def _parse_model(args, blob: dict, parse, what: str = ""):
         raise UsageError(f"{args.model}: {what}{exc}")
 
 
+def _unknown_label(args, exc: KeyError) -> UsageError:
+    """A scenario or --condition label that the model does not have."""
+    kind = {UnknownMeasurement: "measurement", UnknownSetting: "setting",
+            UnknownState: "state"}[type(exc)]
+    return UsageError(f"{args.model}: the model has no {kind} "
+                      f"{exc.args[0]!r}")
+
+
 def _parse_condition(text: str):
     pieces = text.split(":")
     if len(pieces) != 3:
@@ -268,6 +279,8 @@ def cmd_transform(args) -> int:
                   f"cell {exc.cell!r} by {exc.difference} "
                   f"(~ {to_float(exc.difference):+.6g})", file=sys.stderr)
             return 3
+        except (UnknownMeasurement, UnknownState) as exc:
+            raise _unknown_label(args, exc)
         _emit_json(lhv_to_json(lhv), args.out)
         return 0
     if not args.condition:
@@ -280,6 +293,8 @@ def cmd_transform(args) -> int:
     except ZeroProbabilityCondition as exc:
         print(f"impossible condition: {exc}", file=sys.stderr)
         return 3
+    except UnknownSetting as exc:
+        raise _unknown_label(args, exc)
     _emit_json(model_to_json(model), args.out)
     return 0
 
@@ -290,7 +305,10 @@ def cmd_validate_model(args) -> int:
     if "epistemics" in blob:
         model = _parse_model(args, blob, model_from_json)
         scenario = _scenario_from_args(args, mode)
-        outcome = validate(model, scenario)
+        try:
+            outcome = validate(model, scenario)
+        except (UnknownMeasurement, UnknownState) as exc:
+            raise _unknown_label(args, exc)
         report = {
             "schema": SCHEMA,
             "command": "validate-model",

@@ -255,9 +255,8 @@ def min_slack(problem: LPProblem) -> Tuple[Scalar, Tuple[Scalar, ...]]:
     soft = [i for i, label in enumerate(problem.row_labels)
             if label[0] in SOFT_ROW_KINDS]
     # Columns [eps, u_1, v_1, ..., u_k, v_k, x]: with eps and the slacks
-    # first, Bland's lowest-index rule enters them before the strategy
-    # columns, like a slack crash basis (canonical prop2: 174 pivots, not
-    # the 375 of the x-first order).
+    # first, Phase I's lowest-index rule enters them before the strategy
+    # columns, like a slack crash basis (canonical prop2: 74 + 80 pivots).
     offset = {r: 1 + 2 * k for k, r in enumerate(soft)}
     width = 1 + 2 * len(soft)
     matrix, rhs = [], []

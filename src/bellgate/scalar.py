@@ -200,6 +200,7 @@ def pair_sign(a, b) -> int:
 
 ZERO = ExactScalar(Fraction(0), Fraction(0))
 ONE = ExactScalar(Fraction(1), Fraction(0))
+HALF = ExactScalar(Fraction(1, 2), Fraction(0))
 SQRT2 = ExactScalar(Fraction(0), Fraction(1))
 HALF_SQRT2 = ExactScalar(Fraction(0), Fraction(1, 2))
 
@@ -241,7 +242,7 @@ def compare(x: Scalar, y: Scalar) -> int:
 
 def field(exact: bool) -> tuple[Scalar, Scalar, Scalar]:
     """The backend's (zero, half, one): ExactScalars, or floats."""
-    return (ZERO, ONE / 2, ONE) if exact else (0.0, 0.5, 1.0)
+    return (ZERO, HALF, ONE) if exact else (0.0, 0.5, 1.0)
 
 
 def to_float(x: Scalar) -> float:

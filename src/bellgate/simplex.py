@@ -2,8 +2,9 @@
 
 Solves equality-constrained feasibility (find x >= 0 with Ax = b) by Phase-I
 simplex on per-row artificial variables, and linear minimization by Phase-II
-from the Phase-I basis.  Bland's rule is always on: these systems are tiny
-and heavily degenerate, so anti-cycling matters more than pivot counts.  The
+from the Phase-I basis.  These systems are tiny and heavily degenerate, so
+neither phase can cycle: Phase I enters by Bland's rule, Phase II by the most
+negative reduced cost except after a degenerate pivot (`Tableau.run`).  The
 exact tableau is fraction-free, with int cells for a rational A, so "optimum
 is zero" and "certificate is valid" are decided without rounding.
 
@@ -20,8 +21,9 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 from .scalar import (ONE, ZERO, ExactScalar, MixedBackendError, Scalar,
                      pair_sign, sign)
 
-#: Pivot-count ceiling; Bland's rule terminates long before this on any
-#: problem this library builds, so hitting it means a broken invariant.
+#: Pivot-count ceiling; both entering rules (`Tableau.run`) terminate long
+#: before this on any problem this library builds, so hitting it means a
+#: broken invariant.
 MAX_PIVOTS = 200000
 
 
@@ -163,14 +165,27 @@ class Tableau:
         if self.pivots > MAX_PIVOTS:
             raise CyclingDetected("pivot ceiling exceeded")
 
-    def run(self, allowed_cols: range):
-        """Pivot to optimality under Bland's rule; raise Unbounded if needed."""
+    def run(self, allowed_cols: range, dantzig: bool = False):
+        """Pivot to optimality; raise Unbounded if needed.
+
+        Rows leave by Bland's rule.  Columns enter by lowest index (Bland),
+        or with `dantzig` by most negative reduced cost, ties to the lowest
+        index, except right after a degenerate pivot (zero rhs in the
+        leaving row).  A cycle is all degenerate pivots, so with `dantzig`
+        it would be all Bland pivots, and Bland's rule does not cycle.
+        """
+        objective = self.objective
+        steepest = dantzig
         while True:
             entering = None
             for j in allowed_cols:
-                if sign(self.objective[j]) < 0 and j not in self.basis:
+                # one positive scale in every cell: compare them directly
+                if (sign(objective[j]) < 0 and j not in self.basis
+                        and (entering is None
+                             or objective[j] < objective[entering])):
                     entering = j
-                    break
+                    if not steepest:
+                        break
             if entering is None:
                 return
             leaving = None
@@ -204,6 +219,12 @@ class Tableau:
                     leaving = i
             if leaving is None:
                 raise Unbounded("entering column has no positive entry")
+            if dantzig:
+                # steepest next only if this pivot moves the objective; the
+                # float tolerance can only add degenerate (Bland) pivots
+                row = self.rows[leaving]
+                steepest = (row[-2] or row[-1] if self.split
+                            else sign(row[-1]) != 0)
             self.pivot(leaving, entering)
 
     def solution(self, ncols: int) -> Tuple[Scalar, ...]:
@@ -328,7 +349,7 @@ def solve_min(c: Sequence[Scalar], A: Sequence[Sequence[Scalar]],
     body = [row[:n] + row[n + len(rows):] for row in tableau.rows]
     phase_two = Tableau(body, list(tableau.basis), cells, tableau.scale,
                         tableau.d)
-    phase_two.run(range(n))
+    phase_two.run(range(n), dantzig=True)
     x = phase_two.solution(n)
     if not verify_solution(A, b, x):
         raise AuditFailed("optimizer returned a point that fails audit")

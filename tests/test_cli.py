@@ -261,6 +261,22 @@ class TestTransform:
         assert code == 3
         assert "impossible condition" in err
 
+    def test_forward_unknown_state(self, capsys, toy_path):
+        # float scenarios label their states M0:0, ...; the toy uses |0>
+        code, out, err = run(capsys, [
+            "transform", "--direction", "forward", "--model", toy_path,
+            "--mode", "float", "--angles", "0,1.5707963267948966"])
+        assert code == 2
+        assert out == ""
+        assert "the model has no state 'M0:0'" in err
+
+    def test_reverse_unknown_setting(self, capsys, uniform_path):
+        code, _, err = run(capsys, [
+            "transform", "--direction", "reverse", "--model", uniform_path,
+            "--condition", "B:Q:0"])
+        assert code == 2
+        assert "the model has no setting 'Q'" in err
+
     def test_missing_model_file(self, capsys):
         code, _, err = run(capsys, [
             "transform", "--direction", "forward",
@@ -291,6 +307,15 @@ class TestValidateModel:
         assert report["verdict"] == {
             "quantum_compatible": True, "decomposition_compatible": True}
         assert report["report"]["born"]
+
+    def test_unknown_measurement(self, capsys, tmp_path):
+        # the toy model answers Z and X only; the default angles add Z+X
+        path = tmp_path / "toy.json"
+        path.write_text(json.dumps(load_bundled("toy_two_setting.json")))
+        code, out, err = run(capsys, ["validate-model", "--model", str(path)])
+        assert code == 2
+        assert out == ""
+        assert "the model has no measurement 'Z+X'" in err
 
     def test_lhv(self, capsys, tmp_path):
         path = tmp_path / "uniform.json"

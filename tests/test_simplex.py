@@ -16,6 +16,7 @@ from bellgate.simplex import (
     FarkasCertificate,
     InfeasibleProblem,
     LPResult,
+    Tableau,
     Unbounded,
     solve_feasibility,
     solve_min,
@@ -197,6 +198,28 @@ class TestMinimization:
             assert verify_solution(A, b, x)
             compared += 1
         assert compared > 30
+
+
+class TestEnteringRules:
+    """Chvatal's cycling example (Linear Programming, 1983, ch. 3) at its
+    slack basis: most-negative entering with lowest-index leaving cycles on
+    it, so Phase II's rule must fall back to Bland's after degenerate
+    pivots.  The ceiling is lowered so that a cycle fails fast."""
+
+    @pytest.mark.parametrize("dantzig", [True, False],
+                             ids=["phase2", "bland"])
+    def test_cycling_example_reaches_optimum(self, monkeypatch, dantzig):
+        monkeypatch.setattr(simplex, "MAX_PIVOTS", 50)
+        # cells times the scale 2; the last two columns are the rhs r, s
+        rows = [[1, -11, -5, 18, 2, 0, 0, 0, 0],
+                [1, -3, -1, 2, 0, 2, 0, 0, 0],
+                [2, 0, 0, 0, 0, 0, 2, 2, 0]]
+        tableau = Tableau(rows, [4, 5, 6], [-10, 57, 9, 24, 0, 0, 0], 2)
+        tableau.run(range(7), dantzig=dantzig)
+        assert tableau.solution(7) == tuple(map(ex, (1, 0, 1, 0, 2, 0, 0)))
+        # the objective row's rhs is -c.x = 1, times the final scale
+        assert tableau.objective[-2:] == [tableau.scale, 0]
+        assert tableau.pivots == 7
 
 
 class TestVerifiers:
