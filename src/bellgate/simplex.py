@@ -8,9 +8,16 @@ negative reduced cost except after a degenerate pivot (`Tableau.run`).  The
 exact tableau is fraction-free, with int cells for a rational A, so "optimum
 is zero" and "certificate is valid" are decided without rounding.
 
+Before Phase I a presolve deletes every forcing row, one with rhs exactly zero
+and no negative entry, and the columns where it is positive, which it forces
+to zero (Brearley, Mitra & Williams 1975; Andersen & Andersen 1995).  Most
+strategy columns of a correlation problem go this way.  The reduced problem's
+point lifts back by zeros, and its Farkas certificate by weights on the
+forcing rows that leave y^T b alone (`_lift_certificate`).
+
 Nothing returned here is trusted: feasible points and Farkas certificates are
-re-verified by the independent checks at the bottom of this module before the
-solver hands them out.
+re-verified on the caller's full A, b by the independent checks at the bottom
+of this module before the solver hands them out.
 """
 
 from __future__ import annotations
@@ -73,33 +80,119 @@ class LPResult(NamedTuple):
         return self.status == "feasible"
 
 
-def _normalize(A: Sequence[Sequence[Scalar]], b: Sequence[Scalar]):
-    """Copy inputs, coerce int/Fraction entries, and pick one backend.
+def _backend(A: Sequence[Sequence[Scalar]], b: Sequence[Scalar]):
+    """Check the shapes and pick one backend; returns its zero.
 
     The backend is float when any entry is a float, exact otherwise; mixing
-    floats with ExactScalars raises.  Returns (rows, rhs, backend zero,
-    column count).
+    floats with ExactScalars raises.
     """
     if len(A) != len(b):
         raise DimensionMismatch(
             f"{len(A)} constraint rows but {len(b)} right-hand sides")
     if any(len(row) != len(A[0]) for row in A):
         raise DimensionMismatch("ragged constraint matrix")
-    kinds = {type(v) for row in A for v in row} | set(map(type, b))
+    kinds = set(map(type, b))
+    for row in A:
+        kinds.update(map(type, row))
     has_float = any(issubclass(kind, float) for kind in kinds)
     if has_float and ExactScalar in kinds:
         raise MixedBackendError("constraint system mixes exact and float entries")
+    return 0.0 if has_float else ZERO
 
-    def coerce(v):
-        if isinstance(v, (ExactScalar, float)):
-            return v
-        if isinstance(v, (int, Fraction)):
-            return float(v) if has_float else ExactScalar.from_rational(v)
-        raise TypeError(f"unsupported matrix entry {v!r}")
 
-    rows = [[coerce(v) for v in row] for row in A]
-    return (rows, [coerce(v) for v in b], 0.0 if has_float else ZERO,
+def _coerce(v, zero):
+    """v in zero's backend: int and Fraction entries become ExactScalars or
+    floats."""
+    if isinstance(v, (ExactScalar, float)):
+        return v
+    if isinstance(v, (int, Fraction)):
+        return float(v) if isinstance(zero, float) else ExactScalar.from_rational(v)
+    raise TypeError(f"unsupported matrix entry {v!r}")
+
+
+def _normalize(A: Sequence[Sequence[Scalar]], b: Sequence[Scalar]):
+    """Copy inputs in one backend (`_backend`, `_coerce`).  Returns (rows,
+    rhs, backend zero, column count)."""
+    zero = _backend(A, b)
+    rows = [[_coerce(v, zero) for v in row] for row in A]
+    return (rows, [_coerce(v, zero) for v in b], zero,
             len(rows[0]) if rows else 0)
+
+
+def _plain_values(row, zero, known):
+    """row's entries as plain numbers: floats on float data, int, Fraction
+    or ExactScalar on exact data.  known maps entry ids to values, so each
+    distinct entry object is converted once (builders reuse their zero and
+    one) and the row is read in C."""
+    if isinstance(zero, float):
+        return row
+    values = list(map(known.get, map(id, row)))
+    if None in values:
+        for j, v in enumerate(row):
+            if values[j] is None:
+                values[j] = known[id(v)] = _rational(v)
+    return values
+
+
+def _forcing_rows(A, b, zero, known):
+    """Presolve: the rows with rhs exactly zero and no negative entry.
+
+    Such a row forces every column where it is positive to zero in any
+    x >= 0 with Ax = b (Brearley, Mitra & Williams 1975).  Returns the set
+    of forcing rows and, for each forced column, the first forcing row
+    that covers it.  Only zero-rhs rows are scanned, and the tests are
+    exact on floats too: a float rhs of 1e-13 forces nothing.
+    """
+    forcing, cover = set(), {}
+    for i, target in enumerate(b):
+        if target:
+            continue
+        values = _plain_values(A[i], zero, known)
+        if min(values, default=0) < 0:
+            continue
+        forcing.add(i)
+        for j in filter(values.__getitem__, range(len(values))):
+            cover.setdefault(j, i)
+    return forcing, cover
+
+
+def _lift_certificate(A, y, keep, cover, zero, known):
+    """Farkas weights for all of A from the reduced problem's y.
+
+    Kept rows keep their weight; forcing rows start at zero.  Each forced
+    column j with a positive total (y^T A)_j is charged to its covering
+    row r, whose weight becomes the least -(y^T A)_j / A_rj over the
+    columns charged to it.  A forcing row is nonnegative with zero rhs, so
+    a negative weight on it lowers every column total and leaves y^T b
+    alone.
+    """
+    full = [zero] * len(A)
+    for i, weight in zip(keep, y):
+        full[i] = weight
+    if not cover:
+        return tuple(full)
+    scale, weights = 1, y
+    if not isinstance(zero, float) and not any(w.b for w in y):
+        # a rational y over one int denominator: the sums run in ints
+        for q in {w.a.denominator for w in y}:
+            scale *= q
+        weights = [w.a.numerator * (scale // w.a.denominator) for w in y]
+    dead = list(cover)
+    totals = [0] * len(A[0])
+    for i, weight in zip(keep, weights):
+        if weight:
+            values = _plain_values(A[i], zero, known)
+            # the forced columns where this row is nonzero
+            for j in filter(values.__getitem__, dead):
+                totals[j] = totals[j] + weight * values[j]
+    for j in dead:
+        total = totals[j]
+        if sign(total) > 0:
+            r = cover[j]
+            weight = _coerce(-total * Fraction(1, scale) / A[r][j], zero)
+            if sign(weight - full[r]) < 0:
+                full[r] = weight
+    return tuple(full)
 
 
 class Tableau:
@@ -239,9 +332,9 @@ class Tableau:
         return tuple(x)
 
 
-def _phase_one(rows, rhs, cost, zero, A, b):
+def _phase_one(rows, rhs, cost, zero):
     """Solve Phase I on [A | I | b], rows with b_i < 0 negated.  Returns the
-    tableau, the cost in its cells and the audited certificate or None.
+    tableau, the cost in its cells and the Farkas weights y or None.
 
     Over Q, cells start at [A | I | d b_rat | d b_sqrt2] and c times
     S = prod s_i, s_i a multiple of row i's (or c's) denominators, and d
@@ -289,10 +382,40 @@ def _phase_one(rows, rhs, cost, zero, A, b):
     for i in range(m):
         multiplier = (zero + scale - objective[n + i]) / scale
         y.append(-multiplier if flips[i] else multiplier)
-    certificate = FarkasCertificate(y=tuple(y))
-    if not verify_certificate(A, b, certificate):
-        raise AuditFailed("solver produced a certificate that fails audit")
-    return tableau, cost, certificate
+    return tableau, cost, y
+
+
+def _presolved_phase_one(A, b, zero, c=None):
+    """Phase I on A, b and cost c (default zero) in zero's backend, without
+    the forcing rows and the columns they force (`_forcing_rows`).
+
+    Returns (tableau, cost cells, live columns, certificate or None).  A
+    certificate is lifted back to all of A, b (`_lift_certificate`) and
+    audited there before it is returned.
+    """
+    known = {}
+    forcing, cover = _forcing_rows(A, b, zero, known)
+    keep = [i for i in range(len(A)) if i not in forcing]
+    live = [j for j in range(len(A[0]) if A else 0) if j not in cover]
+    rows = [[_coerce(A[i][j], zero) for j in live] for i in keep]
+    rhs = [_coerce(b[i], zero) for i in keep]
+    cost = [zero] * len(live) if c is None else [c[j] for j in live]
+    tableau, cells, y = _phase_one(rows, rhs, cost, zero)
+    certificate = None
+    if y is not None:
+        certificate = FarkasCertificate(
+            y=_lift_certificate(A, y, keep, cover, zero, known))
+        if not verify_certificate(A, b, certificate):
+            raise AuditFailed("solver produced a certificate that fails audit")
+    return tableau, cells, live, certificate
+
+
+def _lift_point(values, live, n, zero) -> Tuple[Scalar, ...]:
+    """A point of the reduced problem, zero on the forced columns."""
+    x = [zero] * n
+    for j, v in zip(live, values):
+        x[j] = v
+    return tuple(x)
 
 
 def solve_feasibility(A: Sequence[Sequence[Scalar]],
@@ -301,13 +424,15 @@ def solve_feasibility(A: Sequence[Sequence[Scalar]],
 
     Feasible answers come with an exact basic point; infeasible answers with
     a Farkas certificate read off the final Phase-I reduced costs.  Both are
-    re-verified here before being returned.
+    solved on the presolved system, lifted back and re-verified on A, b
+    before being returned.
     """
-    rows, rhs, zero, n = _normalize(A, b)
-    tableau, _, certificate = _phase_one(rows, rhs, [zero] * n, zero, A, b)
+    zero = _backend(A, b)
+    tableau, _, live, certificate = _presolved_phase_one(A, b, zero)
     if certificate:
         return LPResult(status="infeasible", certificate=certificate)
-    x = tableau.solution(n)
+    x = _lift_point(tableau.solution(len(live)), live,
+                    len(A[0]) if A else 0, zero)
     if not verify_solution(A, b, x):
         raise AuditFailed("solver returned a point that fails audit")
     return LPResult(status="feasible", x=x)
@@ -319,24 +444,29 @@ def solve_min(c: Sequence[Scalar], A: Sequence[Sequence[Scalar]],
 
     Runs Phase-I first and raises InfeasibleProblem (with certificate) when
     the region is empty; raises Unbounded when the objective has no minimum.
-    Returns the exact optimal value and an optimal vertex.
+    Returns the exact optimal value and an optimal vertex.  The forced
+    columns are zero in every feasible point, so Phase II runs on the
+    presolved system too.
     """
-    rows, rhs, zero, n = _normalize(A, b)
+    zero = _backend(A, b)
+    n = len(A[0]) if A else 0
     if len(c) != n:
         raise DimensionMismatch(f"cost has {len(c)} entries for {n} columns")
     # a cost of the other backend makes this raise MixedBackendError
     (cost,), _, _, _ = _normalize([list(c)], [zero])
-    tableau, cells, certificate = _phase_one(rows, rhs, cost, zero, A, b)
+    tableau, cells, live, certificate = _presolved_phase_one(A, b, zero,
+                                                             cost)
     if certificate:
         raise InfeasibleProblem(certificate)
 
     # drive artificials out of the basis; rows that cannot release one are
     # redundant combinations of other rows and get dropped
+    width, height = len(live), len(tableau.rows)
     drop = []
-    for i in range(len(rows)):
-        if tableau.basis[i] < n:
+    for i in range(height):
+        if tableau.basis[i] < width:
             continue
-        for j in range(n):
+        for j in range(width):
             if j not in tableau.basis and sign(tableau.rows[i][j]) != 0:
                 tableau.pivot(i, j)
                 break
@@ -346,11 +476,11 @@ def solve_min(c: Sequence[Scalar], A: Sequence[Sequence[Scalar]],
         del tableau.rows[i]
         del tableau.basis[i]
 
-    body = [row[:n] + row[n + len(rows):] for row in tableau.rows]
+    body = [row[:width] + row[width + height:] for row in tableau.rows]
     phase_two = Tableau(body, list(tableau.basis), cells, tableau.scale,
                         tableau.d)
-    phase_two.run(range(n), dantzig=True)
-    x = phase_two.solution(n)
+    phase_two.run(range(width), dantzig=True)
+    x = _lift_point(phase_two.solution(width), live, n, zero)
     if not verify_solution(A, b, x):
         raise AuditFailed("optimizer returned a point that fails audit")
     value = zero

@@ -92,7 +92,7 @@ class TestCheckProp2:
         assert differ["a"] == "1/2" and differ["b"] == "-1/2"
         inequality = report["inequality"]
         assert inequality["bound"]["a"] == "-1"
-        assert len(inequality["terms"]) == 36
+        assert len(inequality["terms"]) == 34
         assert abs(inequality["quantum_margin"]["approx"]
                    - (5 * math.sqrt(2) - 5)) < 1e-12
         for term in inequality["terms"]:

@@ -554,3 +554,94 @@ class TestIntKernelProperties:
     @given(rational_systems())
     def test_minimum_and_audits(self, system):
         check_min_against_oracle(system[2], system[0], system[1])
+
+
+def forced_columns(A, b):
+    """Columns that a zero-rhs row with no negative entry forces to zero,
+    found here without the solver's presolve."""
+    forced = set()
+    for row, target in zip(A, b):
+        if target == 0 and all(v >= 0 for v in row):
+            forced |= {j for j, v in enumerate(row) if v > 0}
+    return forced
+
+
+#: nonnegative entries of a planted forcing row, and the positive one it
+#: surely has; the sqrt2 variant adds sqrt2 and sqrt2 - 1
+PLANTED_POSITIVE = st.sampled_from((Fraction(1), Fraction(2), Fraction(1, 3)))
+PLANTED = st.one_of(st.just(Fraction(0)), PLANTED_POSITIVE)
+SQRT2_ENTRY = st.builds(ExactScalar,
+                        st.integers(-2, 2).map(lambda k: Fraction(k, 2)),
+                        st.sampled_from((-1, 0, 0, 1)))
+SQRT2_POSITIVE = st.sampled_from((ex(1), SQRT2, SQRT2 - 1))
+SQRT2_PLANTED = st.one_of(st.just(ex(0)), SQRT2_POSITIVE)
+
+
+@st.composite
+def planted_systems(draw, entry=SIXTHS, rhs=RHS_VALUE, planted=PLANTED,
+                    positive=PLANTED_POSITIVE):
+    """A random system with one or two forcing rows (rhs 0, entries >= 0,
+    one of them positive) inserted at random places."""
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 4))
+    A = [[draw(entry) for _ in range(n)] for _ in range(m)]
+    b = [draw(rhs) for _ in range(m)]
+    for _ in range(draw(st.integers(1, 2))):
+        row = [draw(planted) for _ in range(n)]
+        row[draw(st.integers(0, n - 1))] = draw(positive)
+        at = draw(st.integers(0, len(A)))
+        A.insert(at, row)
+        b.insert(at, ex(0))
+    return A, b
+
+
+class TestPresolve:
+    """Forcing rows are deleted before Phase I and their columns with them;
+    points lift back by zeros and certificates by charged weights."""
+
+    def check_planted(self, system):
+        A, b = system
+        forced = forced_columns(A, b)
+        assert forced
+        # the verdict equals the oracle's; the point or the lifted
+        # certificate passes its audit on the full A, b
+        if check_against_oracle(A, b):
+            x = solve_feasibility(A, b).x
+            assert all(x[j] == 0 for j in forced)
+
+    @settings(derandomize=True, max_examples=120, deadline=None,
+              database=None)
+    @given(planted_systems())
+    def test_planted_forcing_rows(self, system):
+        self.check_planted(system)
+
+    @settings(derandomize=True, max_examples=60, deadline=None,
+              database=None)
+    @given(planted_systems(entry=SQRT2_ENTRY,
+                           rhs=st.one_of(st.just(ex(0)), SQRT2_ENTRY),
+                           planted=SQRT2_PLANTED, positive=SQRT2_POSITIVE))
+    def test_planted_forcing_rows_sqrt2(self, system):
+        self.check_planted(system)
+
+    @pytest.mark.parametrize("one", [ex(1), 1.0], ids=["exact", "float"])
+    def test_lift_charges_forced_column(self, one):
+        # x2 = 0 forces x2 out; what is left, x1 = 1 and x1 = 2, needs a
+        # positive weight y[1] on x1 + x2 = 2, which leaves x2's total
+        # (y^T A)_2 = y[1] positive until the row x2 = 0 gets -y[1]
+        zero = one * 0
+        A = [[one, zero], [one, one], [zero, one]]
+        b = [one, one + one, zero]
+        y = solve_feasibility(A, b).certificate.y
+        assert all(type(weight) is type(one) for weight in y)
+        assert y[1] > 0 and y[2] == -y[1]
+        assert verify_certificate(A, b, FarkasCertificate(y=y))
+        assert not verify_certificate(A, b,
+                                      FarkasCertificate(y=y[:2] + (zero,)))
+
+    def test_float_zero_test_is_exact(self):
+        # a 1e-13 rhs and a -1e-13 entry sit inside the 1e-9 band but do
+        # not make forcing rows, so neither system forces x1 to zero
+        for A, b in (([[1.0, 1.0], [1.0, 0.0]], [1.0, 1e-13]),
+                     ([[1.0, 1.0], [1.0, -1e-13]], [1.0, 0.0])):
+            x = solve_feasibility(A, b).x
+            assert x[0] > 0
