@@ -63,7 +63,7 @@ SCHEMA = "bellgate/1"
 CSV_SCHEMA = "schema_v1"
 DEFAULT_EXACT_ANGLES = "0,2,4"
 DEFAULT_FLOAT_ANGLES = "0,0.7853981633974483,1.5707963267948966"
-#: check-prop1/2 limits: exact m=6 check-prop2 takes ~0.7 s, float m=7 ~1 s
+#: check-prop1/2 limits: exact m=6 check-prop2 takes ~0.4 s, float m=7 ~1 s
 MAX_SETTINGS = {"exact": 6, "float": 7}
 
 

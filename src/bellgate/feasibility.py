@@ -41,14 +41,7 @@ from .scalar import (
     scalar_to_json,
     sign,
 )
-from .simplex import (
-    FarkasCertificate,
-    LPResult,
-    _normalize,
-    solve_feasibility,
-    solve_min,
-    verify_certificate,
-)
+from .simplex import FarkasCertificate, LPResult, solve_feasibility, solve_min
 
 SOFT_ROW_KINDS = ("born", "joint")
 
@@ -358,8 +351,10 @@ def extract_inequality(certificate: FarkasCertificate,
 
     The certificate weight on each joint row becomes that probability's
     coefficient; minus the normalization weight becomes the bound.  The
-    audit done here is over strategies: every deterministic strategy must
-    satisfy the inequality.  The quantum margin needs the scenario:
+    column of strategy pair s has ones in the normalization row and in the
+    joint rows s answers, so (y^T A)_s = strategy_value(s) - bound: the
+    best response over all pairs checks y^T A <= 0, and y^T b > 0 is
+    checked too.  The quantum margin needs the scenario:
     quantum_margin recomputes it from the Born values where that is known.
     """
     for label in problem.row_labels:
@@ -369,20 +364,23 @@ def extract_inequality(certificate: FarkasCertificate,
     if len(y) != len(problem.row_labels):
         raise UnverifiedCertificate(
             f"certificate has {len(y)} entries for {len(problem.row_labels)} rows")
-    if not verify_certificate(problem.matrix, problem.rhs, certificate):
-        raise UnverifiedCertificate("certificate fails its audit")
-    # int/Fraction entries join the problem's backend; an exact y rejects floats
-    (lifted,), _, bound, _ = _normalize([y], [problem.rhs[0]])
+    zero = bound = y_dot_b = field(problem.exact)[0]
     coefficients = []
     provenance = []
-    for i, label in enumerate(problem.row_labels):
-        if sign(lifted[i]) == 0:
+    for label, weight, target in zip(problem.row_labels, y, problem.rhs):
+        # int/Fraction entries join the problem's backend; an exact y
+        # rejects floats
+        weight = zero + weight
+        if sign(weight) == 0:
             continue
+        y_dot_b = y_dot_b + weight * target
         provenance.append(label)
         if label[0] == "normalization":
-            bound = bound - lifted[i]
+            bound = bound - weight
         else:
-            coefficients.append((label[1:], lifted[i]))
+            coefficients.append((label[1:], weight))
+    if sign(y_dot_b) <= 0:
+        raise UnverifiedCertificate("certificate has y^T b <= 0")
     inequality = BellInequality(coefficients=tuple(coefficients),
                                 bound=bound,
                                 settings=problem.settings,

@@ -110,15 +110,6 @@ def _coerce(v, zero):
     raise TypeError(f"unsupported matrix entry {v!r}")
 
 
-def _normalize(A: Sequence[Sequence[Scalar]], b: Sequence[Scalar]):
-    """Copy inputs in one backend (`_backend`, `_coerce`).  Returns (rows,
-    rhs, backend zero, column count)."""
-    zero = _backend(A, b)
-    rows = [[_coerce(v, zero) for v in row] for row in A]
-    return (rows, [_coerce(v, zero) for v in b], zero,
-            len(rows[0]) if rows else 0)
-
-
 def _plain_values(row, zero, known):
     """row's entries as plain numbers: floats on float data, int, Fraction
     or ExactScalar on exact data.  known maps entry ids to values, so each
@@ -453,7 +444,8 @@ def solve_min(c: Sequence[Scalar], A: Sequence[Sequence[Scalar]],
     if len(c) != n:
         raise DimensionMismatch(f"cost has {len(c)} entries for {n} columns")
     # a cost of the other backend makes this raise MixedBackendError
-    (cost,), _, _, _ = _normalize([list(c)], [zero])
+    _backend([c], [zero])
+    cost = [_coerce(v, zero) for v in c]
     tableau, cells, live, certificate = _presolved_phase_one(A, b, zero,
                                                              cost)
     if certificate:
@@ -520,28 +512,31 @@ def verify_certificate(A: Sequence[Sequence[Scalar]], b: Sequence[Scalar],
                        certificate: FarkasCertificate) -> bool:
     """Independent audit of y^T A <= 0 componentwise and y^T b > 0.
 
-    The data picks the backend, as in _normalize: float when it holds a
+    The data picks the backend, as the solver does: float when it holds a
     float, and int/Fraction weights join it (a mix raises
     MixedBackendError).  y^T A runs over the nonzero
     entries of A only, in plain rationals when the data is exact and
-    rational; only y^T b needs Q(sqrt2).
+    rational, each distinct entry object converted once per call
+    (`_plain_values`); only y^T b needs Q(sqrt2).
     """
     y = certificate.y
-    if len(y) != len(b) or len(A) != len(b):
+    width = len(A[0]) if A else 0
+    if (len(y) != len(b) or len(A) != len(b)
+            or any(len(row) != width for row in A)):
         return False
     exact = not any(isinstance(v, float) for v in b)
     if exact and not any(isinstance(v, ExactScalar) for v in b):
         # a rational b leaves the choice to A
         exact = not any(isinstance(v, float) for row in A for v in row)
-    totals = [0] * max(map(len, A), default=0)
+    zero, known = ZERO if exact else 0.0, {}
+    totals = [0] * width
     for weight, row in zip(y, A):
         if weight:
             if exact:
                 weight = _rational(weight)
-            for j, v in enumerate(row):
-                if v:
-                    totals[j] = totals[j] + weight * (_rational(v) if exact
-                                                      else v)
+            values = _plain_values(row, zero, known)
+            for j in filter(values.__getitem__, range(width)):
+                totals[j] = totals[j] + weight * values[j]
     if any(sign(total) > 0 for total in totals):
         return False
     total = 0

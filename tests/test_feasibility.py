@@ -573,8 +573,8 @@ class TestExtractPlainEntries:
 
     @pytest.mark.parametrize("position", ["zero", "weight"])
     def test_float_entry_in_exact_certificate_raises(self, position):
-        # a 0.0 passes the audit (zero weights are skipped) and is refused
-        # when the entries are lifted; a nonzero float fails in the audit
+        # a float weight, zero or not, is refused when y is read into the
+        # exact field
         problem = build_prop2(canonical_scenario())
         y = self.raw_certificate(problem, "wigner")
         i = next(i for i, v in enumerate(y)
@@ -660,6 +660,48 @@ class TestCertificateInequalities:
                     if alice[ia] == a and bob[ib] == b:
                         value = value + coeff
                 assert value <= inequality.bound
+
+
+def extracts(certificate, problem):
+    try:
+        extract_inequality(certificate, problem)
+    except UnverifiedCertificate:
+        return False
+    return True
+
+
+class TestExtractionAudit:
+    """extract_inequality's own checks, y^T b > 0 and the best response
+    against the bound, accept exactly what verify_certificate accepts: on
+    the correlation problem (y^T A)_s = strategy_value(s) - bound."""
+
+    @settings(derandomize=True, max_examples=12, deadline=None,
+              database=None)
+    @given(turns=st.sets(st.integers(0, 7), min_size=3, max_size=5),
+           bumped=st.lists(st.integers(0, 10**6), min_size=2, max_size=2))
+    def test_refuses_exactly_what_the_audit_refuses(self, turns, bumped):
+        problem = build_prop2(build_scenario([eighth(k)
+                                              for k in sorted(turns)]))
+        result = solve_problem(problem)
+        assume(not result.feasible)
+        y = result.certificate.y
+        zero = tuple(ex(0) for _ in y)
+        # y^T A = -1 on every column, but y^T b = -1 too
+        lone = (ex(-1),) + zero[1:]
+        candidates = [y, zero, lone]
+        # the normalization row and two drawn rows, bumped as in
+        # test_simplex.py's TestCertificatePerturbation
+        for i in [0] + [k % len(y) for k in bumped]:
+            for bump in (1, -1, Fraction(1, 10**12), Fraction(-1, 10**12)):
+                candidates.append(y[:i] + (y[i] + bump,) + y[i + 1:])
+        verdicts = []
+        for candidate in candidates:
+            certificate = FarkasCertificate(y=candidate)
+            valid = verify_certificate(problem.matrix, problem.rhs,
+                                       certificate)
+            assert extracts(certificate, problem) == valid
+            verdicts.append(valid)
+        assert verdicts[:3] == [True, False, False]
 
 
 def enumerated_max(inequality):

@@ -1,10 +1,13 @@
 """Tests for ontological and local hidden-variable model types."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from bellgate.feasibility import build_prop1, solution_model, solve_problem
 from bellgate.ontology import (
     EpistemicState,
     LocalHVModel,
@@ -315,7 +318,60 @@ class TestLocalHV:
             strategy_from_key("012|110", 3)
 
 
+def through_json_text(blob):
+    return json.loads(json.dumps(blob))
+
+
+@st.composite
+def lhv_models(draw, exact):
+    """Random positive weights on up to 8 strategies of m <= 3 settings;
+    exact ones move a sqrt2 part between two weights, keeping both
+    positive and the sum 1."""
+    m = draw(st.integers(1, 3))
+    chosen = draw(st.lists(st.sampled_from(all_strategies(m)), min_size=1,
+                           max_size=8, unique=True))
+    raw = draw(st.lists(st.integers(1, 50), min_size=len(chosen),
+                        max_size=len(chosen)))
+    total = sum(raw)
+    if exact:
+        weights = [ex(Fraction(k, total)) for k in raw]
+        if len(weights) > 1:
+            # |shift| <= 0.7 * sqrt2 / total < 1 / total <= each weight
+            shift = ExactScalar(Fraction(0), Fraction(
+                draw(st.integers(-70, 70)), 100 * total))
+            weights[0], weights[1] = weights[0] + shift, weights[1] - shift
+    else:
+        weights = [k / total for k in raw]
+    return LocalHVModel(settings=tuple(f"M{i}" for i in range(m)),
+                        weights=dict(zip(chosen, weights)))
+
+
+JSON_PROPERTIES = settings(derandomize=True, max_examples=40, deadline=None,
+                           database=None)
+
+
 class TestJson:
+    @JSON_PROPERTIES
+    @given(data=st.data(), exact=st.booleans())
+    def test_lhv_round_trip_through_json_text(self, data, exact):
+        model = data.draw(lhv_models(exact))
+        assert lhv_from_json(through_json_text(lhv_to_json(model))) == model
+
+    @JSON_PROPERTIES
+    @given(turns=st.sets(st.integers(0, 7), min_size=1, max_size=3),
+           exact=st.booleans(), deterministic=st.booleans())
+    def test_solution_model_round_trip_through_json_text(
+            self, turns, exact, deterministic):
+        make = (PlanarAngle.from_eighth_turns if exact
+                else lambda k: PlanarAngle.from_radians(0.3 * k))
+        problem = build_prop1(build_scenario([make(k) for k in sorted(turns)]),
+                              include_decomposition_equality=False,
+                              deterministic_cells=deterministic)
+        model = solution_model(problem, solve_problem(problem).x)
+        blob = model_to_json(model)
+        assert blob["mode"] == ("exact" if exact else "float")
+        assert model_from_json(through_json_text(blob)) == model
+
     def test_model_round_trip(self):
         model = toy_two_setting_model()
         assert model_from_json(model_to_json(model)) == model

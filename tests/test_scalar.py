@@ -1,10 +1,12 @@
 """Tests for exact Q(sqrt2) arithmetic and the scalar helpers."""
 
+import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bellgate.scalar import (
     FLOAT_TOLERANCE,
@@ -224,6 +226,21 @@ class TestJson:
             scalar_from_json(True)
         with pytest.raises(ValueError):
             scalar_from_json(2, mode="gibberish")
+
+    @settings(derandomize=True, max_examples=100, database=None)
+    @given(a=st.fractions(-10**6, 10**6, max_denominator=10**6),
+           b=st.fractions(-10**6, 10**6, max_denominator=10**6))
+    def test_exact_round_trip_through_json_text(self, a, b):
+        value = ExactScalar(a, b)
+        text = json.dumps(scalar_to_json(value))
+        assert scalar_from_json(json.loads(text)) == value
+
+    @settings(derandomize=True, max_examples=100, database=None)
+    @given(value=st.floats(allow_nan=False, allow_infinity=False))
+    def test_float_round_trip_through_json_text(self, value):
+        text = json.dumps(scalar_to_json(value))
+        parsed = scalar_from_json(json.loads(text), mode="float")
+        assert type(parsed) is float and parsed == value
 
     def test_hashable_dict_key(self):
         table = {HALF_SQRT2: "half"}

@@ -254,7 +254,9 @@ class TestVerifiers:
     @pytest.mark.parametrize("A, b, y", [
         ([[1]], [1, 1], (0, 1)),      # the weight sits on a missing row
         ([[-1], [1]], [1], (1,)),     # y^T A skips the row with no rhs
-    ], ids=["extra-rhs", "extra-row"])
+        # row 1 has no column-1 entry, so that column's total reads -1
+        ([[1, 1], [1]], [1, 2], (-1, 1)),
+    ], ids=["extra-rhs", "extra-row", "ragged"])
     def test_certificate_rejects_row_count_mismatch(self, A, b, y):
         assert not verify_certificate(A, b, FarkasCertificate(y=y))
 
